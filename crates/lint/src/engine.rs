@@ -463,7 +463,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
                 continue;
             }
             let rel = rel_str(root, &path);
-            if rel == "crates/lint/tests/fixtures" {
+            if rel == "crates/lint/tests/fixtures" || is_nested_workspace(&path) {
                 continue;
             }
             walk(root, &path, out)?;
@@ -472,6 +472,15 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
         }
     }
     Ok(())
+}
+
+/// A subdirectory whose `Cargo.toml` declares its own `[workspace]` is
+/// a separate workspace: Cargo does not build it as a member, so its
+/// sources are not this workspace's either (and their functions must
+/// not add call-graph edges to ours).
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Workspace-relative path with forward slashes.

@@ -78,6 +78,23 @@ fn run_grandfathers_exactly_the_baseline() {
 }
 
 #[test]
+fn nested_workspace_is_not_linted() {
+    // `nested/` declares its own `[workspace]`; its crate root lacks
+    // `#![forbid(unsafe_code)]`, which would be a finding if walked.
+    let files = engine::workspace_files(&ws()).expect("walk");
+    assert!(
+        files.iter().all(|f| !f.starts_with(ws().join("nested"))),
+        "{files:?}"
+    );
+    let report = engine::run(&ws(), &Baseline::parse("").expect("empty")).expect("walk");
+    assert!(
+        report.new.iter().all(|f| !f.path.starts_with("nested/")),
+        "{:#?}",
+        report.new
+    );
+}
+
+#[test]
 fn semantic_families_fire_across_files() {
     // The registries in crates/obs activate the A family; the hot-root
     // in hot.rs drives H; the stats helper + bench fan-out drive D2.

@@ -12,31 +12,26 @@ use crate::http1::{H1Conn, H1Pool};
 use crate::http2::H2Mux;
 use crate::http3::H3Map;
 use crate::object::{ObjectId, WebObject};
+use crate::path::{Arrival, ConnRef, ConnState, LinkId, Mux, Path};
 use crate::website::Website;
-use pq_edge::{Dispatch, EdgeConfig, EdgePools, Middlebox};
+use pq_edge::{Dispatch, EdgeConfig};
 use pq_metrics::{MetricSet, Recording, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
-    ConnId, Direction, EventQueue, Link, NetworkConfig, Packet, PushOutcome, SimDuration, SimRng,
-    SimTime, Trace, TraceKind,
+    ConnId, EventQueue, NetworkConfig, Packet, PushOutcome, SimDuration, SimRng, SimTime, Trace,
+    TraceKind,
 };
 use pq_transport::{Connection, Output, Protocol, Wire};
 use std::collections::BTreeMap;
 
 /// Trace-track layout of one page load (one tracer `pid` per load):
 /// `tid 0` carries the page-level markers (FVC/LVC/PLT, queue depth,
-/// link queues), `tid 1 + ci` one row per connection, `tid 100 + obj`
-/// one row per web object.
-const TID_PAGE: u32 = 0;
-/// First connection row.
-const TID_CONN_BASE: u32 = 1;
+/// link queues), `tid 1 + ci` one row per client connection,
+/// `tid 60 + leg` one row per proxy leg (see [`ConnRef::tid`]),
+/// `tid 100 + obj` one row per web object.
+pub(crate) const TID_PAGE: u32 = 0;
 /// First web-object row.
 const TID_OBJ_BASE: u32 = 100;
-/// First proxy-leg (origin-side connection) row.
-const TID_LEG_BASE: u32 = 60;
-/// Offset distinguishing proxy-leg handshake fault keys and trace
-/// details from client-side connection indices.
-const LEG_KEY_BASE: u32 = 1000;
 
 /// HTTP version used over the TCP stacks (QUIC always uses its own
 /// stream mapping).
@@ -136,83 +131,22 @@ pub struct PageLoadResult {
 }
 
 enum Ev {
-    UpTx,
-    DownTx,
-    Deliver(Direction, Packet<Wire>),
-    Wake(u32, u64),
-    Respond(u32, ObjectId),
+    /// A transmission slot opened on a link.
+    Tx(LinkId),
+    /// A packet crossed a link.
+    Deliver(LinkId, Packet<Wire>),
+    /// A connection's transport timer expired (stale unless the
+    /// version matches).
+    Wake(ConnRef, u64),
+    /// The server finished thinking about an object requested on a
+    /// connection.
+    Respond(ConnRef, ObjectId),
     /// Client-side processing of a fully delivered object finished.
     Processed(ObjectId),
     /// A deferred (lazy) request's timer expired: issue it now.
     DeferredRequest(ObjectId),
     /// Style + first layout done: painting may start.
     GateOpen,
-    /// Transmission slot opened on the origin-segment uplink.
-    EdgeUpTx,
-    /// Transmission slot opened on the origin-segment downlink.
-    EdgeDownTx,
-    /// A packet crossed the origin segment (proxied modes: to/from a
-    /// proxy leg; middlebox mode: to the origin endpoint or back to
-    /// the junction).
-    EdgeDeliver(Direction, Packet<Wire>),
-    /// A proxy leg's transport timer expired.
-    EdgeWake(u32, u64),
-    /// The origin finished thinking about an object requested through
-    /// proxy leg `.0`.
-    EdgeRespond(u32, ObjectId),
-}
-
-enum Mux {
-    H1(H1Conn),
-    H2(H2Mux),
-    H3(H3Map),
-}
-
-struct ConnState {
-    conn: Connection,
-    mux: Mux,
-    wake_version: u64,
-}
-
-/// One origin-side proxy connection (always TCP+ carrying HTTP/2).
-/// The pool remembers which origin each leg serves; relay bridges
-/// carry the `(origin, leg)` pair they complete on.
-struct LegState {
-    conn: Connection,
-    mux: H2Mux,
-    wake_version: u64,
-}
-
-/// Relay state of one object flowing origin-leg → client-connection
-/// through the terminating proxy. Progress maps proportionally: the
-/// proxy has relayed `client_total · origin_got / origin_total` bytes
-/// onto the client-facing stream at any instant (cut-through, not
-/// store-and-forward).
-struct Bridge {
-    /// H2 stream bytes the origin response occupies on the leg.
-    origin_total: u64,
-    origin_got: u64,
-    /// Stream bytes the response occupies client-side (H3 or H2
-    /// framing, matching the client connection's mux).
-    client_total: u64,
-    client_written: u64,
-    leg: u32,
-    origin: u16,
-    fin_sent: bool,
-}
-
-/// Everything the edge stacks add to a page load: the origin path
-/// segment, the proxy's pooled legs and relay bridges, and the
-/// transparent middlebox. `None` on the Table-1 stacks — their event
-/// sequence is untouched.
-struct EdgeState {
-    o_up: Link<Wire>,
-    o_down: Link<Wire>,
-    leg_cfg: pq_transport::StackConfig,
-    legs: Vec<LegState>,
-    pools: EdgePools,
-    mbx: Option<Middlebox>,
-    bridges: BTreeMap<ObjectId, Bridge>,
 }
 
 struct Loader<'a> {
@@ -220,8 +154,9 @@ struct Loader<'a> {
     protocol: Protocol,
     opts: &'a LoadOptions,
     q: EventQueue<Ev>,
-    up: Link<Wire>,
-    down: Link<Wire>,
+    /// The links and in-path boxes between client and origins.
+    path: Path,
+    /// Client connections.
     conns: Vec<ConnState>,
     origin_conn: BTreeMap<u16, u32>,
     /// HTTP/1.1 connection pools per origin (empty under H2/H3).
@@ -256,8 +191,6 @@ struct Loader<'a> {
     req_at: Vec<Option<SimTime>>,
     /// Per-load fault view (`None` = injection off).
     faults: Option<pq_fault::LoadFaults>,
-    /// Edge topology state (`None` on the Table-1 stacks).
-    edge: Option<EdgeState>,
     /// Reused scratch for newly-released children: `discover` needs
     /// `&mut self`, so the candidate list is staged here instead of a
     /// fresh per-event `Vec` (the former top `hot-alloc` finding).
@@ -368,64 +301,25 @@ pub fn load_page_with_config(
         None
     };
 
-    // Edge stacks split the path at the junction: the client-side
-    // segment keeps the access link's character (bandwidth, loss,
-    // queue) over a fraction of the RTT, and a clean fat backbone
-    // segment covers the rest to the origin. Table-1 stacks keep the
-    // single end-to-end link untouched.
-    let edge_cfg = protocol
-        .is_edge()
-        .then(|| opts.edge.clone().unwrap_or_else(EdgeConfig::from_env));
-    let link_net = match &edge_cfg {
-        Some(ec) => net.client_segment(ec.client_rtt_share),
-        None => net.clone(),
-    };
-
     let mut q = EventQueue::new();
-    let mut up = Link::new(link_net.uplink(), rng.fork("uplink-loss"));
-    let mut down = Link::new(link_net.downlink(), rng.fork("downlink-loss"));
     if let Some(pid) = obs_pid {
         q.set_obs_track(pid, TID_PAGE);
-        up.set_obs_track(pid, TID_PAGE, "uplink");
-        down.set_obs_track(pid, TID_PAGE, "downlink");
     }
-    if let Some(f) = &faults {
-        up.set_fault(f.link_fault("uplink"));
-        down.set_fault(f.link_fault("downlink"));
-    }
-
-    let edge = edge_cfg.map(|ec| {
-        let origin_net = net.origin_segment(ec.client_rtt_share, ec.backbone_bps);
-        let mut o_up = Link::new(origin_net.uplink(), rng.fork("origin-uplink-loss"));
-        let mut o_down = Link::new(origin_net.downlink(), rng.fork("origin-downlink-loss"));
-        if let Some(pid) = obs_pid {
-            o_up.set_obs_track(pid, TID_PAGE, "origin-uplink");
-            o_down.set_obs_track(pid, TID_PAGE, "origin-downlink");
-        }
-        // Fault clauses bind to each path segment independently: the
-        // origin segment has its own link-fault keys.
-        if let Some(f) = &faults {
-            o_up.set_fault(f.link_fault("origin-uplink"));
-            o_down.set_fault(f.link_fault("origin-downlink"));
-        }
-        EdgeState {
-            o_up,
-            o_down,
-            leg_cfg: Protocol::TcpPlus.config(&origin_net),
-            legs: Vec::new(),
-            pools: EdgePools::new(&ec, rng.fork("edge-pool")),
-            mbx: protocol.has_middlebox().then(|| Middlebox::new(&ec)),
-            bridges: BTreeMap::new(),
-        }
-    });
+    let path = Path::new(
+        net,
+        protocol,
+        opts.edge.as_ref(),
+        &rng,
+        faults.as_ref(),
+        obs_pid,
+    );
 
     let mut loader = Loader {
         site,
         protocol,
         opts,
         q,
-        up,
-        down,
+        path,
         conns: Vec::new(),
         origin_conn: BTreeMap::new(),
         h1_pools: BTreeMap::new(),
@@ -449,7 +343,6 @@ pub fn load_page_with_config(
         obs_pid,
         req_at: vec![None; n],
         faults,
-        edge,
         kid_buf: Vec::new(),
     };
 
@@ -462,19 +355,15 @@ pub fn load_page_with_config(
 /// of the `experiment` phase in the folded profile.
 fn ev_name(ev: &Ev) -> &'static str {
     match ev {
-        Ev::UpTx => "event:tx-up",
-        Ev::DownTx => "event:tx-down",
-        Ev::Deliver(..) => "event:arrival",
-        Ev::Wake(..) => "event:timer",
-        Ev::Respond(..) => "event:respond",
+        Ev::Tx(link) => link.tx_bucket(),
+        Ev::Deliver(link, _) => link.arrival_bucket(),
+        Ev::Wake(ConnRef::Client(_), _) => "event:timer",
+        Ev::Wake(ConnRef::Leg(_), _) => "event:edge-timer",
+        Ev::Respond(ConnRef::Client(_), _) => "event:respond",
+        Ev::Respond(ConnRef::Leg(_), _) => "event:edge-respond",
         Ev::Processed(..) => "event:process",
         Ev::DeferredRequest(..) => "event:defer",
         Ev::GateOpen => "event:gate",
-        Ev::EdgeUpTx => "event:edge-tx-up",
-        Ev::EdgeDownTx => "event:edge-tx-down",
-        Ev::EdgeDeliver(..) => "event:edge-arrival",
-        Ev::EdgeWake(..) => "event:edge-timer",
-        Ev::EdgeRespond(..) => "event:edge-respond",
     }
 }
 
@@ -533,32 +422,22 @@ impl<'a> Loader<'a> {
                 } else {
                     Mux::H2(H2Mux::new())
                 };
-                self.open_conn(now, mux)
+                self.open_conn(now, mux, None).index()
             }
         };
         self.origin_conn.insert(origin, ci);
+        self.issue(now, ci, id);
+    }
+
+    /// Send the request for `id` on client connection `ci`.
+    fn issue(&mut self, now: SimTime, ci: u32, id: ObjectId) {
+        let r = ConnRef::Client(ci);
         self.trace.record(now, TraceKind::Request, u64::from(id.0));
         self.obs_request(now, id);
-        let state = &mut self.conns[ci as usize];
-        match &mut state.mux {
-            // pq-lint: allow(panic) -- H1 requests take the pool path above; mux/transport pairing is fixed at open_conn
-            Mux::H1(_) => unreachable!("pool handled above"),
-            Mux::H2(m) => {
-                let Connection::Tcp(c) = &mut state.conn else {
-                    // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
-                    unreachable!("H2 over TCP")
-                };
-                m.request(c, now, id);
-            }
-            Mux::H3(m) => {
-                let Connection::Quic(c) = &mut state.conn else {
-                    // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
-                    unreachable!("H3 over QUIC")
-                };
-                m.request(c, now, id);
-            }
+        if let Some(state) = self.conn_mut(r) {
+            state.request(now, id);
         }
-        self.pump(now, ci);
+        self.pump(now, r);
     }
 
     /// Record one injected fault: bump the global counter and drop an
@@ -582,34 +461,52 @@ impl<'a> Loader<'a> {
         }
     }
 
-    fn open_conn(&mut self, now: SimTime, mux: Mux) -> u32 {
-        let ci = self.conns.len() as u32;
-        let mut conn = Connection::open(ConnId(ci), self.cfg.clone(), now);
+    fn conn_mut(&mut self, r: ConnRef) -> Option<&mut ConnState> {
+        match r {
+            ConnRef::Client(ci) => self.conns.get_mut(ci as usize),
+            ConnRef::Leg(li) => self.path.legs.get_mut(li as usize),
+        }
+    }
+
+    /// Open a client connection carrying `mux`, or — with
+    /// `leg_origin` — a proxy leg to that origin.
+    fn open_conn(&mut self, now: SimTime, mux: Mux, leg_origin: Option<u16>) -> ConnRef {
+        let (r, cfg) = match leg_origin {
+            None => (ConnRef::Client(self.conns.len() as u32), &self.cfg),
+            Some(_) => (
+                ConnRef::Leg(self.path.legs.len() as u32),
+                self.path.leg_cfg().unwrap_or(&self.cfg),
+            ),
+        };
+        let mut conn = Connection::open(ConnId(r.index()), cfg.clone(), now);
         // Handshake fault: the first client flight never reaches the
         // wire; the transport's own handshake timeout / RTO machinery
         // must recover (that recovery is exactly what we're testing).
         let hs_lost = self
             .faults
             .as_ref()
-            .is_some_and(|f| f.handshake_flight_lost(ci));
+            .is_some_and(|f| f.handshake_flight_lost(r.key()));
         if hs_lost && conn.discard_pending_sends() > 0 {
-            self.note_fault(now, "handshake flight lost", u64::from(ci));
+            self.note_fault(now, "handshake flight lost", u64::from(r.key()));
         }
         if let Some(pid) = self.obs_pid {
-            let tid = TID_CONN_BASE + ci;
-            conn.set_obs_track(pid, tid);
-            pq_obs::tracer().name_track(
-                pid,
-                tid,
-                &format!("conn {ci} ({})", self.protocol.label()),
-            );
+            conn.set_obs_track(pid, r.tid());
+            let name = match leg_origin {
+                None => format!("conn {} ({})", r.index(), self.protocol.label()),
+                Some(origin) => format!("leg {} (H2 → origin {origin})", r.index()),
+            };
+            pq_obs::tracer().name_track(pid, r.tid(), &name);
         }
-        self.conns.push(ConnState {
+        let state = ConnState {
             conn,
             mux,
             wake_version: 0,
-        });
-        ci
+        };
+        match r {
+            ConnRef::Client(_) => self.conns.push(state),
+            ConnRef::Leg(_) => self.path.legs.push(state),
+        }
+        r
     }
 
     /// HTTP/1.1 request dispatch: reuse an idle pooled connection, grow
@@ -617,15 +514,14 @@ impl<'a> Loader<'a> {
     fn request_object_h1(&mut self, now: SimTime, id: ObjectId) {
         let origin = self.obj(id).origin.0;
         let pool = self.h1_pools.entry(origin).or_default();
-        let idle = pool
-            .conns
-            .iter()
-            .copied()
-            .find(|&ci| matches!(&self.conns[ci as usize].mux, Mux::H1(h) if h.is_idle()));
+        let idle = pool.conns.iter().copied().find(|&ci| {
+            let state = self.conns.get(ci as usize);
+            matches!(state, Some(ConnState { mux: Mux::H1(h), .. }) if h.is_idle())
+        });
         let ci = match idle {
             Some(ci) => ci,
             None if pool.can_grow() => {
-                let ci = self.open_conn(now, Mux::H1(H1Conn::new()));
+                let ci = self.open_conn(now, Mux::H1(H1Conn::new()), None).index();
                 if let Some(pool) = self.h1_pools.get_mut(&origin) {
                     pool.conns.push(ci);
                 }
@@ -636,124 +532,75 @@ impl<'a> Loader<'a> {
                 return;
             }
         };
-        self.trace.record(now, TraceKind::Request, u64::from(id.0));
-        self.obs_request(now, id);
-        let state = &mut self.conns[ci as usize];
-        let Mux::H1(h) = &mut state.mux else {
-            // pq-lint: allow(panic) -- pool connections are opened as Mux::H1 in this very function
-            unreachable!()
-        };
-        let Connection::Tcp(c) = &mut state.conn else {
-            // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
-            unreachable!("H1 over TCP")
-        };
-        h.request(c, now, id);
-        self.pump(now, ci);
+        self.issue(now, ci, id);
     }
 
     /// Drain a connection's outputs, route packets, apply progress, and
     /// reschedule its wakeup.
-    fn pump(&mut self, now: SimTime, ci: u32) {
+    fn pump(&mut self, now: SimTime, r: ConnRef) {
         loop {
-            let state = &mut self.conns[ci as usize];
+            let Some(state) = self.conn_mut(r) else {
+                return;
+            };
             let outputs = state.conn.take_outputs();
             if outputs.is_empty() {
-                // Let the H2 writer top up the transport.
-                let more = match &mut state.mux {
-                    Mux::H1(_) => false,
-                    Mux::H2(m) => {
-                        if let Connection::Tcp(c) = &mut state.conn {
-                            let before = c.server_backlog();
-                            m.pump(c, now);
-                            c.server_backlog() != before
-                        } else {
-                            false
-                        }
-                    }
-                    Mux::H3(_) => false,
-                };
-                if !more {
+                if !state.top_up(now) {
                     break;
                 }
                 continue;
             }
             for out in outputs {
-                self.route_output(now, ci, out);
+                self.route_output(now, r, out);
             }
         }
-        let state = &mut self.conns[ci as usize];
+        let Some(state) = self.conn_mut(r) else {
+            return;
+        };
         let at = state.conn.poll_at();
         if at != SimTime::MAX {
             state.wake_version += 1;
-            self.q
-                .schedule(at.max(now), Ev::Wake(ci, state.wake_version));
+            let version = state.wake_version;
+            self.q.schedule(at.max(now), Ev::Wake(r, version));
         }
     }
 
-    fn route_output(&mut self, now: SimTime, ci: u32, out: Output) {
+    /// Queue `pkt` on `link`, scheduling the link's next transmission
+    /// slot if it was idle.
+    fn push(&mut self, now: SimTime, link: LinkId, pkt: Packet<Wire>) {
+        let Some(l) = self.path.link_mut(link) else {
+            return;
+        };
+        match l.push(now, pkt) {
+            PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::Tx(link)),
+            PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
+            PushOutcome::Queued => {}
+        }
+    }
+
+    fn route_output(&mut self, now: SimTime, r: ConnRef, out: Output) {
         match out {
             Output::Send(dir, pkt) => {
-                // Middlebox topology: the server endpoint sits at the
-                // origin, so its downstream packets enter on the
-                // backbone segment (and reach the client via the
-                // junction). Client-side sends are unchanged.
-                if dir == Direction::Down && self.protocol.has_middlebox() {
-                    if let Some(edge) = self.edge.as_mut() {
-                        match edge.o_down.push(now, pkt) {
-                            PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::EdgeDownTx),
-                            PushOutcome::TailDropped => {
-                                self.trace.record(now, TraceKind::TailDrop, 0);
-                            }
-                            PushOutcome::Queued => {}
-                        }
-                    }
-                    return;
-                }
-                let link = match dir {
-                    Direction::Up => &mut self.up,
-                    Direction::Down => &mut self.down,
-                };
-                match link.push(now, pkt) {
-                    PushOutcome::StartedTx(t) => {
-                        let ev = match dir {
-                            Direction::Up => Ev::UpTx,
-                            Direction::Down => Ev::DownTx,
-                        };
-                        self.q.schedule(t, ev);
-                    }
-                    PushOutcome::TailDropped => {
-                        self.trace.record(now, TraceKind::TailDrop, 0);
-                    }
-                    PushOutcome::Queued => {}
-                }
+                let link = self.path.send_link(r, dir);
+                self.push(now, link, pkt);
             }
             Output::HandshakeDone => {
                 self.trace
-                    .record(now, TraceKind::HandshakeDone, u64::from(ci));
+                    .record(now, TraceKind::HandshakeDone, u64::from(r.key()));
             }
             Output::ServerStreamProgress {
                 stream,
                 delivered,
                 fin,
             } => {
-                let state = &mut self.conns[ci as usize];
-                let ready: Vec<ObjectId> = match &mut state.mux {
-                    Mux::H1(h) => h.on_server_delivered(delivered).into_iter().collect(),
-                    Mux::H2(m) => m.on_server_delivered(delivered),
-                    Mux::H3(m) => {
-                        if fin {
-                            m.on_server_stream_fin(stream).into_iter().collect()
-                        } else {
-                            Vec::new()
-                        }
-                    }
+                let Some(state) = self.conn_mut(r) else {
+                    return;
                 };
-                for obj in ready {
+                for obj in state.server_ready(stream, delivered, fin) {
                     // Proxied stacks: the "server" side of the client
                     // connection is the proxy — no think time here;
                     // the request continues on a pooled origin leg
                     // (think happens at the real origin).
-                    if self.protocol.is_proxied() {
+                    if matches!(r, ConnRef::Client(_)) && self.protocol.is_proxied() {
                         self.edge_dispatch(now, obj);
                         continue;
                     }
@@ -768,7 +615,7 @@ impl<'a> Loader<'a> {
                     }
                     self.q.schedule(
                         now + SimDuration::from_secs_f64(think / 1e3),
-                        Ev::Respond(ci, obj),
+                        Ev::Respond(r, obj),
                     );
                 }
             }
@@ -777,7 +624,9 @@ impl<'a> Loader<'a> {
                 delivered,
                 fin,
             } => {
-                let state = &mut self.conns[ci as usize];
+                let Some(state) = self.conn_mut(r) else {
+                    return;
+                };
                 match &mut state.mux {
                     Mux::H1(h) => {
                         if let Some(p) = h.on_client_delivered(delivered) {
@@ -800,11 +649,16 @@ impl<'a> Loader<'a> {
                         }
                     }
                     Mux::H2(m) => {
-                        let progress = m.on_client_delivered(delivered);
-                        for p in progress {
-                            let idx = p.object.0 as usize;
-                            let got = self.got[idx] + p.new_bytes;
-                            self.object_progress(now, p.object, got);
+                        for p in m.on_client_delivered(delivered) {
+                            match r {
+                                ConnRef::Client(_) => {
+                                    let got = self.got[p.object.0 as usize] + p.new_bytes;
+                                    self.object_progress(now, p.object, got);
+                                }
+                                // Origin bytes arrived back at the
+                                // proxy: relay them onto the client.
+                                ConnRef::Leg(_) => self.relay(now, p.object, p.new_bytes),
+                            }
                         }
                     }
                     Mux::H3(m) => {
@@ -829,258 +683,35 @@ impl<'a> Loader<'a> {
     fn edge_dispatch(&mut self, now: SimTime, obj: ObjectId) {
         let _sp = pq_prof::span("edge:dispatch");
         let origin = self.obj(obj).origin.0;
-        let Some(edge) = self.edge.as_mut() else {
+        let Some(pools) = self.path.pools_mut() else {
             return;
         };
         // Evicted legs simply go quiescent: the pool stops routing to
         // them and their transport state has nothing left to send.
-        let outcome = edge.pools.dispatch(origin, now);
-        let li = match outcome.action {
-            Dispatch::Reuse(leg) => leg,
+        let leg = match pools.dispatch(origin, now).action {
+            Dispatch::Reuse(leg) => ConnRef::Leg(leg),
             Dispatch::Open { replica } => {
-                let li = self.open_leg(now, origin);
-                if let Some(edge) = self.edge.as_mut() {
-                    edge.pools.opened(origin, replica, li, now);
+                let leg = self.open_conn(now, Mux::H2(H2Mux::new()), Some(origin));
+                if let Some(pools) = self.path.pools_mut() {
+                    pools.opened(origin, replica, leg.index(), now);
                 }
-                li
+                leg
             }
         };
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        let Some(leg) = edge.legs.get_mut(li as usize) else {
-            return;
-        };
-        if let Connection::Tcp(c) = &mut leg.conn {
-            leg.mux.request(c, now, obj);
+        if let Some(state) = self.conn_mut(leg) {
+            state.request(now, obj);
         }
-        self.pump_leg(now, li);
+        self.pump(now, leg);
     }
 
-    /// Open a new origin-side proxy leg (TCP+ carrying HTTP/2).
-    fn open_leg(&mut self, now: SimTime, origin: u16) -> u32 {
-        let Some(edge) = self.edge.as_mut() else {
-            return 0;
-        };
-        let li = edge.legs.len() as u32;
-        let mut conn = Connection::open(ConnId(li), edge.leg_cfg.clone(), now);
-        // Legs have their own handshake-fault key space, offset past
-        // the client connections' — the satellite case "hs-drop
-        // through the proxy" exercises both sides independently.
-        let hs_lost = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.handshake_flight_lost(LEG_KEY_BASE + li));
-        let dropped = if hs_lost {
-            conn.discard_pending_sends()
-        } else {
-            0
-        };
-        if let Some(pid) = self.obs_pid {
-            let tid = TID_LEG_BASE + li;
-            conn.set_obs_track(pid, tid);
-            pq_obs::tracer().name_track(pid, tid, &format!("leg {li} (H2 → origin {origin})"));
-        }
-        edge.legs.push(LegState {
-            conn,
-            mux: H2Mux::new(),
-            wake_version: 0,
-        });
-        if dropped > 0 {
-            self.note_fault(now, "handshake flight lost", u64::from(LEG_KEY_BASE + li));
-        }
-        li
-    }
-
-    /// Drain a proxy leg's outputs (mirror of [`Loader::pump`] for the
-    /// origin segment) and reschedule its wakeup.
-    fn pump_leg(&mut self, now: SimTime, li: u32) {
-        loop {
-            let Some(edge) = self.edge.as_mut() else {
-                return;
-            };
-            let Some(leg) = edge.legs.get_mut(li as usize) else {
-                return;
-            };
-            let outputs = leg.conn.take_outputs();
-            if outputs.is_empty() {
-                let more = if let Connection::Tcp(c) = &mut leg.conn {
-                    let before = c.server_backlog();
-                    leg.mux.pump(c, now);
-                    c.server_backlog() != before
-                } else {
-                    false
-                };
-                if !more {
-                    break;
-                }
-                continue;
-            }
-            for out in outputs {
-                self.route_leg_output(now, li, out);
-            }
-        }
-        let Some(edge) = self.edge.as_mut() else {
+    /// Relay `new_bytes` of `obj` that reached the proxy onto the
+    /// client-facing connection (always connection 0 when proxied).
+    fn relay(&mut self, now: SimTime, obj: ObjectId, new_bytes: u64) {
+        let Some(client) = self.conns.get_mut(0) else {
             return;
         };
-        let Some(leg) = edge.legs.get_mut(li as usize) else {
-            return;
-        };
-        let at = leg.conn.poll_at();
-        if at != SimTime::MAX {
-            leg.wake_version += 1;
-            let version = leg.wake_version;
-            self.q.schedule(at.max(now), Ev::EdgeWake(li, version));
-        }
-    }
-
-    fn route_leg_output(&mut self, now: SimTime, li: u32, out: Output) {
-        match out {
-            Output::Send(dir, pkt) => {
-                let Some(edge) = self.edge.as_mut() else {
-                    return;
-                };
-                let (link, ev) = match dir {
-                    Direction::Up => (&mut edge.o_up, Ev::EdgeUpTx),
-                    Direction::Down => (&mut edge.o_down, Ev::EdgeDownTx),
-                };
-                match link.push(now, pkt) {
-                    PushOutcome::StartedTx(t) => self.q.schedule(t, ev),
-                    PushOutcome::TailDropped => {
-                        self.trace.record(now, TraceKind::TailDrop, 0);
-                    }
-                    PushOutcome::Queued => {}
-                }
-            }
-            Output::HandshakeDone => {
-                self.trace
-                    .record(now, TraceKind::HandshakeDone, u64::from(LEG_KEY_BASE + li));
-            }
-            Output::ServerStreamProgress { delivered, .. } => {
-                // The request reached the real origin: think, then
-                // respond on this leg.
-                let ready = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    Some(leg) => leg.mux.on_server_delivered(delivered),
-                    None => Vec::new(),
-                };
-                for obj in ready {
-                    let mut think = self.opts.think_base_ms
-                        + self.think_rng.exponential(self.opts.think_jitter_ms);
-                    let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
-                    if let Some(extra) = stall {
-                        think += extra;
-                        self.note_fault(now, "server stall", u64::from(obj.0));
-                    }
-                    self.q.schedule(
-                        now + SimDuration::from_secs_f64(think / 1e3),
-                        Ev::EdgeRespond(li, obj),
-                    );
-                }
-            }
-            Output::ClientStreamProgress { delivered, .. } => {
-                // Origin bytes arrived back at the proxy: relay them
-                // proportionally onto the client-facing stream.
-                let progress = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    Some(leg) => leg.mux.on_client_delivered(delivered),
-                    None => Vec::new(),
-                };
-                for p in progress {
-                    self.bridge_advance(now, p.object, p.new_bytes);
-                }
-            }
-            Output::Trace(kind, detail) => {
-                self.trace.record(now, kind, detail);
-            }
-        }
-    }
-
-    /// `new_bytes` of `obj`'s origin response reached the proxy:
-    /// advance the relay and write the proportional share onto the
-    /// client-facing connection (always connection 0 in proxied mode).
-    fn bridge_advance(&mut self, now: SimTime, obj: ObjectId, new_bytes: u64) {
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        let Some(b) = edge.bridges.get_mut(&obj) else {
-            return;
-        };
-        b.origin_got = (b.origin_got + new_bytes).min(b.origin_total);
-        let target = ((u128::from(b.client_total) * u128::from(b.origin_got))
-            / u128::from(b.origin_total.max(1))) as u64;
-        let delta = target.saturating_sub(b.client_written);
-        let fin = b.origin_got >= b.origin_total;
-        let send_fin = fin && !b.fin_sent;
-        if delta == 0 && !send_fin {
-            return;
-        }
-        b.client_written += delta;
-        if send_fin {
-            b.fin_sent = true;
-        }
-        let (leg, origin) = (b.leg, b.origin);
-        let Some(state) = self.conns.get_mut(0) else {
-            return;
-        };
-        match &mut state.mux {
-            Mux::H3(m) => {
-                if let (Connection::Quic(c), Some(sid)) = (&mut state.conn, m.stream_for(obj)) {
-                    c.server_write(now, sid, delta, send_fin);
-                }
-            }
-            Mux::H2(m) => {
-                if let Connection::Tcp(c) = &mut state.conn {
-                    m.respond_raw(c, now, obj, delta);
-                }
-            }
-            Mux::H1(_) => {}
-        }
-        if send_fin {
-            if let Some(edge) = self.edge.as_mut() {
-                edge.pools.complete(origin, leg, now);
-            }
-        }
-        self.pump(now, 0);
-    }
-
-    /// A client packet reached the junction (middlebox mode): let the
-    /// middlebox read its ACK ranges — re-injecting any inferred-lost
-    /// buffered packets onto the access downlink — then forward it
-    /// onto the backbone toward the origin.
-    fn mbx_junction_up(&mut self, now: SimTime, pkt: Packet<Wire>) {
-        let _sp = pq_prof::span("edge:mbx");
-        let retx = match self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
-            Some(m) => m.on_uplink(now, &pkt),
-            None => Vec::new(),
-        };
-        for r in retx {
-            self.trace.record(now, TraceKind::Retransmit, 0);
-            match self.down.push(now, r) {
-                PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::DownTx),
-                PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-                PushOutcome::Queued => {}
-            }
-        }
-        if let Some(edge) = self.edge.as_mut() {
-            match edge.o_up.push(now, pkt) {
-                PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::EdgeUpTx),
-                PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-                PushOutcome::Queued => {}
-            }
-        }
-    }
-
-    /// An origin packet reached the junction (middlebox mode): buffer
-    /// it for possible early retransmit, then forward it down the
-    /// access link to the client.
-    fn mbx_junction_down(&mut self, now: SimTime, pkt: Packet<Wire>) {
-        let _sp = pq_prof::span("edge:mbx");
-        if let Some(m) = self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
-            m.on_downlink(now, &pkt);
-        }
-        match self.down.push(now, pkt) {
-            PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::DownTx),
-            PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-            PushOutcome::Queued => {}
+        if self.path.relay(now, obj, new_bytes, client) {
+            self.pump(now, ConnRef::Client(0));
         }
     }
 
@@ -1286,25 +917,7 @@ impl<'a> Loader<'a> {
         reg.observe(&format!("web.fvc_ms{{proto=\"{label}\"}}"), metrics.fvc_ms);
         reg.observe(&format!("web.si_ms{{proto=\"{label}\"}}"), metrics.si_ms);
 
-        if let Some(edge) = &self.edge {
-            let st = edge.pools.stats();
-            reg.counter_add("edge.conns_opened", st.opened);
-            reg.counter_add("edge.conns_reused", st.reused);
-            reg.counter_add("edge.conns_evicted", st.evicted);
-            if let Some(mbx) = &edge.mbx {
-                reg.counter_add("edge.mbx_early_retx", mbx.early_retransmits());
-                if let Some((client_ms, origin_ms)) = mbx.rtt_split_ms() {
-                    reg.observe(
-                        &format!("edge.client_rtt_ms{{proto=\"{label}\"}}"),
-                        client_ms,
-                    );
-                    reg.observe(
-                        &format!("edge.origin_rtt_ms{{proto=\"{label}\"}}"),
-                        origin_ms,
-                    );
-                }
-            }
-        }
+        self.path.obs_finish(label);
 
         let Some(pid) = self.obs_pid else { return };
         if !pq_obs::enabled(Level::Info) {
@@ -1344,46 +957,39 @@ impl<'a> Loader<'a> {
             let Some((now, ev)) = self.q.pop() else { break };
             let _ev_span = pq_prof::span(ev_name(&ev));
             match ev {
-                Ev::UpTx => {
-                    let txd = self.up.on_tx_done(now);
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::Deliver(Direction::Up, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::UpTx);
-                    }
-                }
-                Ev::DownTx => {
-                    let txd = self.down.on_tx_done(now);
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::Deliver(Direction::Down, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::DownTx);
-                    }
-                }
-                Ev::Deliver(dir, pkt) => {
-                    // Middlebox mode: the client-segment uplink ends
-                    // at the junction, not at the server.
-                    if dir == Direction::Up && self.protocol.has_middlebox() {
-                        self.mbx_junction_up(now, pkt);
+                Ev::Tx(link) => {
+                    let Some(l) = self.path.link_mut(link) else {
                         continue;
+                    };
+                    let txd = l.on_tx_done(now);
+                    if let Some((at, pkt)) = txd.delivery {
+                        self.q.schedule(at, Ev::Deliver(link, pkt));
+                    } else {
+                        self.trace.record(now, TraceKind::RandomLoss, 0);
                     }
-                    let ci = pkt.conn.0;
-                    if let Some(state) = self.conns.get_mut(ci as usize) {
-                        state.conn.on_packet(now, &pkt.payload, dir);
-                        self.pump(now, ci);
+                    if let Some(next) = txd.next_tx_done {
+                        self.q.schedule(next, Ev::Tx(link));
                     }
                 }
-                Ev::Wake(ci, version) => {
-                    let state = &mut self.conns[ci as usize];
-                    if state.wake_version == version {
+                Ev::Deliver(link, pkt) => match self.path.arrive(now, link, &pkt) {
+                    Arrival::Endpoint(r, dir) => {
+                        if let Some(state) = self.conn_mut(r) {
+                            state.conn.on_packet(now, &pkt.payload, dir);
+                            self.pump(now, r);
+                        }
+                    }
+                    Arrival::Forward(to, retx) => {
+                        for r in retx.into_iter().flatten() {
+                            self.trace.record(now, TraceKind::Retransmit, 0);
+                            self.push(now, LinkId::ClientDown, r);
+                        }
+                        self.push(now, to, pkt);
+                    }
+                },
+                Ev::Wake(r, version) => {
+                    if let Some(state) = self.conn_mut(r).filter(|s| s.wake_version == version) {
                         state.conn.on_wake(now);
-                        self.pump(now, ci);
+                        self.pump(now, r);
                     }
                 }
                 Ev::Processed(id) => {
@@ -1398,7 +1004,7 @@ impl<'a> Loader<'a> {
                         self.timeline.push(now, self.vc);
                     }
                 }
-                Ev::Respond(ci, obj) => {
+                Ev::Respond(r, obj) => {
                     let mut body = self.obj(obj).size;
                     // Truncated-response fault: the server closes the
                     // stream early, so the client can never reach the
@@ -1409,133 +1015,14 @@ impl<'a> Loader<'a> {
                         body = ((body as f64 * frac) as u64).min(body.saturating_sub(1));
                         self.note_fault(now, "truncated response", u64::from(obj.0));
                     }
-                    let state = &mut self.conns[ci as usize];
-                    match &mut state.mux {
-                        Mux::H1(h) => {
-                            let Connection::Tcp(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
-                                unreachable!()
-                            };
-                            h.respond(c, now, body);
-                        }
-                        Mux::H2(m) => {
-                            let Connection::Tcp(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
-                                unreachable!()
-                            };
-                            m.respond(c, now, obj, body);
-                        }
-                        Mux::H3(m) => {
-                            let Connection::Quic(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
-                                unreachable!()
-                            };
-                            m.respond(c, now, obj, body);
-                        }
+                    if let ConnRef::Leg(leg) = r {
+                        let origin = self.obj(obj).origin.0;
+                        self.path.open_bridge(obj, origin, leg, body);
                     }
-                    self.pump(now, ci);
-                }
-                Ev::EdgeUpTx => {
-                    let txd = match self.edge.as_mut() {
-                        Some(edge) => edge.o_up.on_tx_done(now),
-                        None => continue,
-                    };
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::EdgeDeliver(Direction::Up, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
+                    if let Some(state) = self.conn_mut(r) {
+                        state.respond(now, obj, body);
                     }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::EdgeUpTx);
-                    }
-                }
-                Ev::EdgeDownTx => {
-                    let txd = match self.edge.as_mut() {
-                        Some(edge) => edge.o_down.on_tx_done(now),
-                        None => continue,
-                    };
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::EdgeDeliver(Direction::Down, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::EdgeDownTx);
-                    }
-                }
-                Ev::EdgeDeliver(dir, pkt) => {
-                    if self.protocol.has_middlebox() {
-                        // End-to-end connections: upstream packets
-                        // complete their trip to the origin endpoint;
-                        // downstream ones reach the junction.
-                        match dir {
-                            Direction::Up => {
-                                let ci = pkt.conn.0;
-                                if let Some(state) = self.conns.get_mut(ci as usize) {
-                                    state.conn.on_packet(now, &pkt.payload, dir);
-                                    self.pump(now, ci);
-                                }
-                            }
-                            Direction::Down => self.mbx_junction_down(now, pkt),
-                        }
-                    } else {
-                        // Proxied: the origin segment carries leg
-                        // traffic in both directions.
-                        let li = pkt.conn.0;
-                        if let Some(leg) =
-                            self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize))
-                        {
-                            leg.conn.on_packet(now, &pkt.payload, dir);
-                            self.pump_leg(now, li);
-                        }
-                    }
-                }
-                Ev::EdgeWake(li, version) => {
-                    let woke = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                        Some(leg) if leg.wake_version == version => {
-                            leg.conn.on_wake(now);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if woke {
-                        self.pump_leg(now, li);
-                    }
-                }
-                Ev::EdgeRespond(li, obj) => {
-                    let mut body = self.obj(obj).size;
-                    let trunc = self.faults.as_ref().and_then(|f| f.truncate(obj.0));
-                    if let Some(frac) = trunc {
-                        body = ((body as f64 * frac) as u64).min(body.saturating_sub(1));
-                        self.note_fault(now, "truncated response", u64::from(obj.0));
-                    }
-                    let client_total = if self.protocol.is_quic() {
-                        crate::http3::RESPONSE_HEADER + body
-                    } else {
-                        H2Mux::response_stream_bytes(body)
-                    };
-                    let origin = self.obj(obj).origin.0;
-                    let Some(edge) = self.edge.as_mut() else {
-                        continue;
-                    };
-                    edge.bridges.insert(
-                        obj,
-                        Bridge {
-                            origin_total: H2Mux::response_stream_bytes(body),
-                            origin_got: 0,
-                            client_total,
-                            client_written: 0,
-                            leg: li,
-                            origin,
-                            fin_sent: false,
-                        },
-                    );
-                    if let Some(leg) = edge.legs.get_mut(li as usize) {
-                        if let Connection::Tcp(c) = &mut leg.conn {
-                            leg.mux.respond(c, now, obj, body);
-                        }
-                    }
-                    self.pump_leg(now, li);
+                    self.pump(now, r);
                 }
             }
         }
@@ -1557,11 +1044,10 @@ impl<'a> Loader<'a> {
             recording,
             complete,
             plt,
-            retransmits: self.conns.iter().map(|c| c.conn.retransmits()).sum::<u64>()
-                + self.edge.as_ref().map_or(0, |e| {
-                    e.legs.iter().map(|l| l.conn.retransmits()).sum::<u64>()
-                }),
-            connections: (self.conns.len() + self.edge.as_ref().map_or(0, |e| e.legs.len())) as u32,
+            retransmits: (self.conns.iter().chain(&self.path.legs))
+                .map(|c| c.conn.retransmits())
+                .sum(),
+            connections: (self.conns.len() + self.path.legs.len()) as u32,
             object_done: self.done_at,
             trace: self.trace,
             timeline: self.timeline,

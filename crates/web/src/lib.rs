@@ -16,6 +16,7 @@ pub mod http1;
 pub mod http2;
 pub mod http3;
 pub mod object;
+mod path;
 pub mod website;
 
 pub use browser::{
