@@ -2,6 +2,11 @@
 //! RNG, range-set algebra and link shaping — the hot paths every
 //! experiment runs millions of times.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "benchmarks seed their fixtures directly"
+)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pq_sim::{
     ConnId, EventQueue, Link, LinkConfig, Packet, PushOutcome, SimDuration, SimRng, SimTime,

@@ -1,9 +1,7 @@
 //! Runs every table and figure regenerator in paper order, sharing a
 //! single experiment execution, then writes the machine-readable run
-//! manifest (`results/manifest.json`), the phase-timing regression
-//! baseline (`results/BENCH_obs.json`), and one schema-versioned
-//! entry in the append-only perf trajectory
-//! (`results/BENCH_history.jsonl`).
+//! manifest (`results/manifest.json`) and the phase-timing record
+//! (`results/BENCH_obs.json`).
 //!
 //! ## Crash safety
 //!
@@ -19,7 +17,6 @@
 
 use pq_bench::manifest::{bench_obs_edge_json, bench_obs_json, write_json, Manifest};
 use pq_bench::report;
-use pq_bench::trajectory::{append_history, history_entry};
 
 /// Open (or resume) the write-ahead cell journal and bind it to this
 /// run's configuration. A journal recorded under a different
@@ -134,13 +131,6 @@ fn main() {
     match write_json("results/BENCH_obs.json", &bench) {
         Ok(()) => eprintln!("[runall] wrote results/BENCH_obs.json"),
         Err(err) => eprintln!("[runall] failed to write BENCH_obs.json: {err}"),
-    }
-    match append_history(
-        "results/BENCH_history.jsonl",
-        &history_entry(&manifest, &bench),
-    ) {
-        Ok(()) => eprintln!("[runall] appended results/BENCH_history.jsonl"),
-        Err(err) => eprintln!("[runall] failed to append BENCH_history.jsonl: {err}"),
     }
     // The grid completed and its results are durable: retire the
     // journal so the next run starts fresh.

@@ -77,7 +77,6 @@
 
 pub mod manifest;
 pub mod report;
-pub mod trajectory;
 
 use pq_sim::NetworkKind;
 use pq_study::{run_study_with, StimulusSet, StudyData};
@@ -206,6 +205,10 @@ pub fn run_experiment_with_stacks(scale: Scale, seed: u64, stacks: &[Protocol]) 
 /// Run with environment-controlled scale/seed/stacks, echoing the
 /// setup. `PQ_STACKS` (see [`pq_edge::stacks_from_env`]) selects the
 /// protocol grid; unset keeps the paper's five stacks.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "phase timing is wall-clock by definition and never feeds simulated data"
+)]
 pub fn run_experiment_from_env(header: &str) -> Experiment {
     let scale = Scale::from_env();
     let seed = seed_from_env();

@@ -183,7 +183,7 @@ pub struct Manifest {
     /// Study seed.
     pub seed: u64,
     /// `pq-par` worker count the run executed with (the `PQ_JOBS`
-    /// knob) — lets the perf trajectory distinguish serial from
+    /// knob) — lets a reader distinguish serial from
     /// parallel baselines.
     pub jobs: u64,
     /// Hex FNV-1a/64 digest over the full study dataset (all votes +
@@ -230,10 +230,6 @@ pub struct Manifest {
     pub journal_records: u64,
     /// Cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog.
     pub cells_timed_out: u64,
-    /// Total grandfathered findings in the committed `pq-lint.baseline`
-    /// at run time. The baseline only shrinks, so re-anchors can watch
-    /// the static-analysis debt pay down across recorded runs.
-    pub lint_baseline_count: u64,
     /// Allocation attribution from the `pq-prof` counting allocator;
     /// `None` when the run executed without `PQ_PROF_ALLOC=1`.
     pub alloc: Option<AllocReport>,
@@ -246,6 +242,10 @@ pub struct Manifest {
 impl Manifest {
     /// Assemble the manifest from a finished experiment, the phase
     /// timer, and the global metrics registry.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the manifest records when the run happened; the time never feeds simulated data"
+    )]
     pub fn collect(e: &Experiment, timer: &PhaseTimer) -> Manifest {
         let reg = pq_obs::registry();
         let funnel = |funnels: &[pq_study::Funnel; 3]| -> Vec<FunnelCounts> {
@@ -326,9 +326,6 @@ impl Manifest {
                 0
             },
             cells_timed_out: e.stimuli.cells_timed_out(),
-            lint_baseline_count: pq_lint::Baseline::load(std::path::Path::new("pq-lint.baseline"))
-                .map(|b| b.total() as u64)
-                .unwrap_or(0),
             alloc: if pq_prof::alloc_enabled() {
                 let snap = pq_prof::alloc_snapshot();
                 Some(AllocReport {
@@ -460,8 +457,7 @@ impl Manifest {
             .with("resumable", self.resumable)
             .with("resumed_from_cells", self.resumed_from_cells)
             .with("journal_records", self.journal_records)
-            .with("cells_timed_out", self.cells_timed_out)
-            .with("lint_baseline_count", self.lint_baseline_count);
+            .with("cells_timed_out", self.cells_timed_out);
         if let Some(a) = &self.alloc {
             out.set("alloc", alloc_json(a));
         }
@@ -572,7 +568,6 @@ impl Manifest {
                 .map_or(Some(0), |n| n.as_u64())?,
             journal_records: v.get("journal_records").map_or(Some(0), |n| n.as_u64())?,
             cells_timed_out: v.get("cells_timed_out").map_or(Some(0), |n| n.as_u64())?,
-            lint_baseline_count: v.get("lint_baseline_count")?.as_u64()?,
             alloc: match v.get("alloc") {
                 None => None,
                 Some(a) => Some(AllocReport {
@@ -711,7 +706,7 @@ pub fn bench_obs_json(timer: &PhaseTimer, scale: &str, seed: u64) -> Value {
         .with("pageloads", pageloads)
         // Crash-safety accounting: zeros on a fresh un-journalled run,
         // so the baseline shape is stable while resumed / watchdogged
-        // runs stay distinguishable in the perf trajectory.
+        // runs stay distinguishable across recorded runs.
         .with(
             "resumed_from_cells",
             match reg.get("run.resumed_cells") {
@@ -809,7 +804,6 @@ mod tests {
             resumed_from_cells: 5,
             journal_records: 21,
             cells_timed_out: 2,
-            lint_baseline_count: 99,
             alloc: Some(AllocReport {
                 total_allocs: 48_000_000,
                 total_bytes: 9_100_000_000,

@@ -77,6 +77,10 @@ pub fn print_table2() {
 }
 
 /// Saturate the downlink to measure rate and loss; ping once for RTT.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "Table 2 measures a bare link with a fixed seed, outside the study pipeline"
+)]
 fn measure_network(down: &LinkConfig, up: &LinkConfig) -> (f64, f64, f64) {
     let mut link: Link<u32> = Link::new(down.clone(), SimRng::new(2));
     let mut now = SimTime::ZERO;

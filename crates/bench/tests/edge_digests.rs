@@ -21,6 +21,10 @@ const ALL_STACKS_SMOKE: &str = "8a902d5f16d6f348";
 
 /// `bin` with every inherited `PQ_*` knob removed, so the caller's
 /// environment cannot leak into a pinned run.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the test scrubs PQ_* variables from the child environment"
+)]
 fn hermetic(bin: &str) -> Command {
     let mut cmd = Command::new(bin);
     for (key, _) in std::env::vars() {

@@ -37,6 +37,10 @@ fn temp_path_for(path: &Path) -> io::Result<PathBuf> {
 /// fsync the directory so the rename itself is durable). On any error
 /// the temp file is removed and the previous `path` contents are
 /// untouched. Parent directories are created as needed.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this is the sanctioned crash-safe writer"
+)]
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     if let Some(d) = parent_dir(path) {
@@ -66,8 +70,12 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 /// Append `line` to `path` durably: open with `O_APPEND` (creating the
 /// file and parent directories if needed), write the line plus a
 /// trailing newline if it lacks one, and fdatasync before returning.
-/// Suitable for `BENCH_history.jsonl`-style ledgers where each line
+/// Suitable for append-only ledgers where each line
 /// must survive a crash the instant the call returns.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this is the sanctioned crash-safe writer"
+)]
 pub fn durable_append(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
     let path = path.as_ref();
     if let Some(d) = parent_dir(path) {
@@ -119,6 +127,10 @@ pub fn recover_stale_temps(dir: impl AsRef<Path>) -> io::Result<usize> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests lay out stale temp files by hand"
+)]
 mod tests {
     use super::*;
 

@@ -284,6 +284,10 @@ pub fn decode_line(line: &str) -> Option<Record> {
 
 type ReplayMap = BTreeMap<(String, String), Record>;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the journal is the sanctioned write-ahead log"
+)]
 fn replay_file(path: &Path) -> io::Result<(ReplayMap, Replay)> {
     let data = match fs::read(path) {
         Ok(d) => d,
@@ -358,6 +362,10 @@ fn with_state<R>(f: impl FnOnce(&mut Option<State>) -> R) -> R {
 /// accidentally inherit cells from an older, possibly different
 /// configuration. Stale temp files next to the journal are swept
 /// either way.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the journal is the sanctioned write-ahead log"
+)]
 pub fn journal_open(path: impl AsRef<Path>, resume: bool) -> io::Result<Replay> {
     let path = path.as_ref();
     if let Some(d) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -519,6 +527,10 @@ pub fn journal_detach() {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests tear the journal tail by hand"
+)]
 mod tests {
     use super::*;
 

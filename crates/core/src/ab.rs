@@ -65,6 +65,10 @@ const CONTROL_VIDEOS: u32 = 3;
 /// session order (votes of session *k* precede those of session
 /// *k+1*), so output is bit-identical to a serial run at any
 /// `PQ_JOBS`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "study-entry derivation point: `seed` is the study seed, every draw forks from the \"ab-study\" stream"
+)]
 pub fn run_ab_study(
     stimuli: &StimulusSet,
     sessions: &[Session],
@@ -79,7 +83,6 @@ pub fn run_ab_study(
     if sites.is_empty() || networks.is_empty() || pairs.is_empty() {
         return Vec::new();
     }
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, every draw forks from the "ab-study" stream
     let rng = SimRng::new(seed).fork("ab-study");
     let n_votes = videos_per_participant.saturating_sub(CONTROL_VIDEOS).max(1);
 

@@ -292,6 +292,10 @@ impl AgreementRow {
 }
 
 /// Figure 3: per-condition group agreement, ordered by lab mean vote.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`Group::idx()` is below 3, the length of every per-group array"
+)]
 pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow> {
     use std::collections::BTreeMap;
     type Key = (u16, NetworkKind, Protocol, Environment);

@@ -70,6 +70,10 @@ impl Conformance {
     }
 
     /// The first rule that removes this participant, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Rule::idx()` is below `Rule::ALL.len()`, the length of every per-rule array"
+    )]
     pub fn first_violation(&self) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| self.violated[r.idx()])
     }
@@ -96,6 +100,10 @@ impl Funnel {
     }
 
     /// Build a funnel by filtering a population sequentially.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Rule::idx()` is below `Rule::ALL.len()`, the length of every per-rule array"
+    )]
     pub fn apply(records: &[Conformance]) -> Funnel {
         let mut after = [0u32; 7];
         let mut alive: Vec<bool> = vec![true; records.len()];

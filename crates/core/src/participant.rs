@@ -93,6 +93,10 @@ pub struct Participant {
 impl Participant {
     /// Draw a participant from the group profile. `rng` should be a
     /// dedicated fork per participant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`group.idx()` is below 3, the length of every per-group calibration table"
+    )]
     pub fn sample(group: Group, id: u32, rng: &mut SimRng) -> Participant {
         let gi = group.idx();
         let mut w = [
@@ -143,6 +147,10 @@ impl Participant {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
 mod tests {
     use super::*;
 

@@ -55,6 +55,10 @@ pub fn scale_label(vote: f64) -> &'static str {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
 mod tests {
     use super::*;
     use crate::participant::Group;

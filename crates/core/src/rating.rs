@@ -88,8 +88,11 @@ pub struct RatingVote {
 /// Per-site "taste" offsets shared by every participant (site design
 /// likability — the non-speed variance that bounds Fig. 6's
 /// correlations in fast networks). Drawn once per study.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "study-entry derivation point: `seed` is the study seed, tastes fork from the \"site-taste\" stream"
+)]
 pub fn site_tastes(n_sites: u16, seed: u64) -> BTreeMap<u16, f64> {
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, tastes fork from the "site-taste" stream
     let mut rng = SimRng::new(seed).fork("site-taste");
     (0..n_sites)
         .map(|s| (s, rng.normal_with(0.0, calib::SITE_TASTE_SD)))
@@ -105,6 +108,14 @@ pub fn site_tastes(n_sites: u16, seed: u64) -> BTreeMap<u16, f64> {
 /// session order, so output is bit-identical to a serial run at any
 /// `PQ_JOBS`.
 #[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "study-entry derivation point: `seed` is the study seed, per-participant streams fork by (group, id)"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`Environment::idx()` is below the length of the per-environment calibration table"
+)]
 pub fn run_rating_study(
     stimuli: &StimulusSet,
     sessions: &[Session],
@@ -114,7 +125,6 @@ pub fn run_rating_study(
     tastes: &BTreeMap<u16, f64>,
     seed: u64,
 ) -> Vec<RatingVote> {
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, per-participant streams fork by (group, id)
     let rng = SimRng::new(seed).fork("rating-study");
     let available = stimuli.networks();
 

@@ -93,6 +93,10 @@ pub fn run_study(stimuli: &StimulusSet, seed: u64) -> StudyData {
 }
 
 /// Run both studies with explicit pair/protocol selections.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`gi = group.idx()` is below 3, the length of the funnel arrays and the per-group calibration tables"
+)]
 pub fn run_study_with(
     stimuli: &StimulusSet,
     pairs: &[(Protocol, Protocol)],

@@ -33,6 +33,10 @@ pub struct Session {
 
 impl Session {
     /// Sample one session.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`group.idx()` is below 3 and each drop table has one entry per conformance rule"
+    )]
     pub fn sample(kind: StudyKind, group: Group, id: u32, rng: &mut SimRng) -> Session {
         let participant = Participant::sample(group, id, rng);
         let drops = match kind {
@@ -73,12 +77,19 @@ impl Session {
 /// participant id)` via `fork_idx`, so the returned vector is
 /// bit-identical to a serial sweep regardless of `PQ_JOBS` — and stays
 /// in participant-id order.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "population-entry derivation point: `seed` is the study seed, sessions fork by study kind"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`group.idx()` is below 3, the length of the recruitment table"
+)]
 pub fn population(kind: StudyKind, group: Group, seed: u64) -> Vec<Session> {
     let n = match kind {
         StudyKind::AB => calib::RECRUITED[group.idx()].0,
         StudyKind::Rating => calib::RECRUITED[group.idx()].1,
     };
-    // pq-lint: allow(rng) -- population-entry derivation point: `seed` is the study seed, sessions fork by study kind
     let rng = SimRng::new(seed).fork(match kind {
         StudyKind::AB => "ab-sessions",
         StudyKind::Rating => "rating-sessions",

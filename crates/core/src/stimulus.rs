@@ -89,8 +89,11 @@ pub struct StimulusSet {
 /// output. A regression test pins a known value so an accidental
 /// re-derivation (which would silently invalidate every recorded
 /// baseline) cannot slip through.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the sanctioned derivation point: the pure (seed, cell) -> page-load-seed function"
+)]
 pub fn run_seed(seed: u64, site: &str, network: NetworkKind, protocol: Protocol, run: u32) -> u64 {
-    // pq-lint: allow(rng) -- this IS the sanctioned derivation point: the pure (seed, cell) → page-load-seed function
     SimRng::new(seed)
         .fork_idx(
             &format!("{}/{}/{}", site, network.name(), protocol.label()),
@@ -219,6 +222,14 @@ impl StimulusSet {
     /// is accepted as-is, so output stays bit-identical.
     ///
     /// [`build`]: StimulusSet::build
+    #[expect(
+        clippy::panic,
+        reason = "the injected panic is the fault under test; `try_par_map` catches it and the pass loop retries or quarantines the cell"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "site indices come from the catalogue the conditions were built over, `idx` from `typical_run(&all)`, and `i` ranges over `cells`, which `outcomes` mirrors"
+    )]
     pub fn build_with_faults(
         sites: &[Website],
         networks: &[NetworkKind],
@@ -323,7 +334,7 @@ impl StimulusSet {
             let Some(idx) = typical_run(&all) else {
                 return Err(("typical-run selection failed".into(), attempt));
             };
-            // pq-lint: allow(float-sum) -- summed over one cell's serial run vector; order never depends on worker placement
+            // pq-lint: allow(float-flow) -- summed over one cell's serial run vector; order never depends on worker placement
             let mean_plt = all.iter().map(|m| m.plt_ms).sum::<f64>() / all.len() as f64;
             let metrics = all[idx];
             let got = all.len() as u32;
@@ -409,7 +420,6 @@ impl StimulusSet {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
                     if pq_fault::injected_panic(p, &label(cond), pass) {
-                        // pq-lint: allow(panic) -- the injected panic IS the fault under test; try_par_map catches it and the pass loop retries/quarantines
                         panic!(
                             "{}: {} (pass {pass})",
                             pq_fault::INJECTED_PANIC_MSG,

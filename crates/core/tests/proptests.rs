@@ -1,6 +1,11 @@
 //! Property-based tests for the study layer: filtering funnels,
 //! perception monotonicity and vote-scale safety.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
+
 use pq_metrics::MetricSet;
 use pq_sim::SimRng;
 use pq_study::{percept, Conformance, Funnel, Group, Participant};

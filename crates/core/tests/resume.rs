@@ -6,6 +6,12 @@
 //! One test function: the journal is process-global state, so the
 //! scenarios must run sequentially.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::disallowed_methods,
+    reason = "test helpers unwrap catalogue lookups, and the test tears the journal on purpose"
+)]
+
 use pq_sim::NetworkKind;
 use pq_study::stimulus::StimulusSet;
 use pq_transport::Protocol;

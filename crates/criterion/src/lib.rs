@@ -98,6 +98,10 @@ pub struct Bencher {
 
 impl Bencher {
     /// Time `routine`, called in a calibrated loop.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "benchmark timing is wall-clock by definition"
+    )]
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         if self.smoke_only {
             black_box(routine());
@@ -136,6 +140,10 @@ impl Bencher {
 
     /// Time `routine` on inputs produced (outside the timing) by
     /// `setup`.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "benchmark timing is wall-clock by definition"
+    )]
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,

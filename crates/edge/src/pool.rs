@@ -260,8 +260,11 @@ mod tests {
     use crate::EdgeConfig;
     use pq_sim::SimDuration;
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "test-local seed; production forks from the load seed"
+    )]
     fn pools(cfg: &EdgeConfig) -> EdgePools {
-        // pq-lint: allow(rng) -- test-local seed; production forks from the load seed
         EdgePools::new(cfg, SimRng::new(42).fork("edge-pool"))
     }
 

@@ -33,6 +33,10 @@ struct GeState {
 }
 
 impl LinkFault {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the seed is derived per link by the caller from (plan seed, load key)"
+    )]
     fn new(plan: &FaultPlan, seed: u64) -> LinkFault {
         LinkFault {
             ge: plan.ge.map(|cfg| GeState {
@@ -151,6 +155,10 @@ impl LoadFaults {
     /// Extra server think time (ms) injected for object `obj`, if it
     /// is stalled. The stall length jitters in `[0.5, 1.5) · ms`.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "derivation point: the stream is `derive_seed(key, \"stall\", obj)`"
+    )]
     pub fn server_stall_ms(&self, obj: u32) -> Option<f64> {
         let s = self.plan.stall?;
         let mut rng = FaultRng::new(derive_seed(self.key, "stall", u64::from(obj)));
@@ -164,6 +172,10 @@ impl LoadFaults {
     /// Whether object `obj`'s response is truncated; returns the
     /// fraction of the body actually served.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "derivation point: the stream is `derive_seed(key, \"trunc\", obj)`"
+    )]
     pub fn truncate(&self, obj: u32) -> Option<f64> {
         let t = self.plan.trunc?;
         let mut rng = FaultRng::new(derive_seed(self.key, "trunc", u64::from(obj)));
@@ -177,6 +189,10 @@ impl LoadFaults {
     /// Whether connection number `conn` (per-load index) loses its
     /// first client flight.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "derivation point: the stream is `derive_seed(key, \"hs\", conn)`"
+    )]
     pub fn handshake_flight_lost(&self, conn: u32) -> bool {
         let Some(h) = self.plan.hs else {
             return false;

@@ -128,6 +128,10 @@ pub fn init_from_env() -> bool {
 /// on retry pass `pass` — a pure function of `(plan seed, cell,
 /// pass)`, so the same cells explode at any worker count. Increments
 /// `fault.injected` when the decision is yes.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derivation point: the stream is `derive_seed` over (plan seed, cell, pass)"
+)]
 pub fn injected_panic(plan: &FaultPlan, cell_label: &str, pass: u32) -> bool {
     let Some(p) = &plan.task_panic else {
         return false;
@@ -151,6 +155,10 @@ pub const INJECTED_PANIC_MSG: &str = "pq-fault: injected task panic";
 /// sleeps before building), so the digest is unchanged unless the
 /// `PQ_CELL_TIMEOUT_MS` watchdog quarantines the cell. Increments
 /// `fault.injected` when the decision is yes.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derivation point: the stream is `derive_seed` over (plan seed, cell)"
+)]
 pub fn injected_slow(plan: &FaultPlan, cell_label: &str) -> Option<u64> {
     let slow = plan.slow.as_ref()?;
     let seed = derive_seed(plan.seed ^ 0x5109_F00D, cell_label, 0);

@@ -7,6 +7,11 @@
 //! `(seed, labels, indices)` alone — the backbone of the crate's
 //! determinism contract.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this module defines the seed-derivation machinery"
+)]
+
 /// SplitMix64 pseudo-random stream. Statistically solid for fault
 /// decisions, trivially seedable, and — crucially — *separate* from
 /// the simulation's own RNG streams so that enabling faults never

@@ -1,5 +1,10 @@
 //! Property-based tests for the fault injector.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
+
 use std::sync::Arc;
 
 use pq_fault::{derive_seed, FaultPlan, FaultRng, GeConfig, LoadFaults};
@@ -67,7 +72,7 @@ proptest! {
     /// no collisions among neighbouring (base, idx) pairs.
     #[test]
     fn derive_seed_has_no_local_collisions(base in 0u64..1_000_000) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for idx in 0..64u64 {
             for label in ["load", "stall", "trunc", "hs", "link"] {
                 prop_assert!(
@@ -93,5 +98,37 @@ proptest! {
             prop_assert_eq!(a.truncate(obj), b.truncate(obj));
             prop_assert_eq!(a.handshake_flight_lost(obj), b.handshake_flight_lost(obj));
         }
+    }
+}
+
+/// A valid chaos spec: every clause kind, as CI's chaos job runs it.
+const CHAOS: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
+                     stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
+
+proptest! {
+    /// `PQ_FAULTS` text built from the grammar's own alphabet parses to
+    /// a plan or a `PqError`, never a panic.
+    #[test]
+    fn fault_spec_parse_never_panics(spec in "[a-z0-9=;:,.e+ -]{0,64}") {
+        if let Ok(plan) = FaultPlan::parse(&spec) {
+            prop_assert_eq!(plan.spec.as_str(), spec.trim());
+        }
+    }
+
+    /// A valid spec cut short or with one character replaced still
+    /// parses or fails cleanly.
+    #[test]
+    fn damaged_fault_specs_never_panic(cut in 0usize..200, at in 0usize..200, c in "[ -~é]") {
+        prop_assert!(FaultPlan::parse(CHAOS).is_ok());
+        let chars: Vec<char> = CHAOS.chars().collect();
+        let torn: String = chars.iter().take(cut % chars.len()).collect();
+        let _ = FaultPlan::parse(&torn);
+        let i = at % chars.len();
+        let edited: String = chars
+            .iter()
+            .enumerate()
+            .map(|(j, &ch)| if j == i { c.chars().next().unwrap_or(ch) } else { ch })
+            .collect();
+        let _ = FaultPlan::parse(&edited);
     }
 }

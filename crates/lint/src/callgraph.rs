@@ -1,4 +1,4 @@
-//! Conservative name-matched call graph with hot-path reachability.
+//! Conservative name-matched call graph with pq-par reachability.
 //!
 //! Edges are resolved by callee name against the workspace symbol
 //! table:
@@ -19,25 +19,13 @@
 //! dependency graph cannot carry (see
 //! [`crate::symbols::Workspace::may_call`]).
 //!
-//! Over-approximation is the point: a spurious edge can only
-//! grandfather a finding into the baseline, a missed edge hides a real
-//! per-event allocation.
+//! Over-approximation is the point: a spurious edge can only ask for
+//! one more justified suppression, a missed edge hides a float sum
+//! whose order depends on chunk placement.
 //!
-//! ## Hot-path states
-//!
-//! Roots are functions carrying a `// pq-lint: hot-root -- <reason>`
-//! annotation. From each root, reachability propagates two states:
-//!
-//! * **Hot** — on the hot path; allocations inside its *loops* are
-//!   flagged (`hot-loop-alloc`).
-//! * **PerEvent** — reached through a call that sits inside a loop of
-//!   a hot function, i.e. executed once per event; *any* allocation in
-//!   it is per-event traffic (`hot-alloc`), loops inside escalate to
-//!   `hot-loop-alloc`.
-//!
-//! `PerEvent` dominates `Hot`. The per-symbol provenance chain (which
-//! call dragged a function onto the hot path) feeds finding messages
-//! and the `--profile` frame mapping.
+//! Roots are functions whose body fans out over pq-par; everything
+//! they reach is *par-reachable*. Each symbol remembers the caller
+//! that first reached it, so a finding can name its fan-out.
 
 use crate::ast::{CallSite, COMMON_METHODS};
 use crate::symbols::Workspace;
@@ -49,39 +37,23 @@ const PRIMITIVE_TYPES: &[&str] = &[
     "u32", "u64", "u8", "usize",
 ];
 
-/// Hot-path state of one function symbol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Hotness {
-    /// Not reachable from any annotated root.
-    Cold,
-    /// Reachable from a hot root (outside any loop).
-    Hot,
-    /// Reachable through a loop-borne call: runs once per event.
-    PerEvent,
-}
-
 /// The resolved graph plus propagated reachability.
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    /// Per-symbol adjacency: `(callee id, call is inside a loop)`.
-    pub edges: Vec<Vec<(usize, bool)>>,
-    /// Per-symbol hot-path state.
-    pub hotness: Vec<Hotness>,
-    /// Per-symbol provenance: the caller that first set the state.
-    pub hot_parent: Vec<Option<usize>>,
+    /// Per-symbol callee ids.
+    pub edges: Vec<Vec<usize>>,
     /// Per-symbol: reachable from a function that fans out over
-    /// pq-par (for the `float-flow` rule).
+    /// pq-par.
     pub par_reachable: Vec<bool>,
-    /// Every type name appearing as an `impl` block's subject.
-    pub impl_types: BTreeSet<String>,
+    /// Per-symbol provenance: the caller that first reached it.
+    pub par_parent: Vec<Option<usize>>,
 }
 
 impl CallGraph {
     /// Resolve one call site to workspace symbol ids, per the edge
     /// policy in the module docs. `from_crate` is the calling file's
     /// crate: candidates in crates the caller's manifest cannot reach
-    /// are dropped. Shared by graph construction and the D2 flow
-    /// rules.
+    /// are dropped.
     pub fn resolve(&self, ws: &Workspace, from_crate: Option<&str>, call: &CallSite) -> Vec<usize> {
         let Some(candidates) = ws.by_name.get(&call.name) else {
             return Vec::new();
@@ -113,74 +85,42 @@ impl CallGraph {
                     reachable
                 }
             }
-            None if call.method && COMMON_METHODS.contains(&call.name.as_str()) => Vec::new(),
+            None if call.method && COMMON_METHODS.split_whitespace().any(|m| m == call.name) => {
+                Vec::new()
+            }
             None => reachable,
         }
     }
 
-    /// Resolve edges and propagate hotness / par-reachability.
+    /// Resolve edges and propagate par-reachability.
     pub fn build(ws: &Workspace) -> CallGraph {
         let n = ws.fns.len();
         let mut g = CallGraph {
             edges: vec![Vec::new(); n],
-            hotness: vec![Hotness::Cold; n],
-            hot_parent: vec![None; n],
             par_reachable: vec![false; n],
-            impl_types: (0..n)
-                .filter_map(|id| ws.def(id).impl_type.clone())
-                .collect(),
+            par_parent: vec![None; n],
         };
         for id in 0..n {
-            let def = ws.def(id);
-            let from_crate = ws.crate_of(id).map(String::from);
-            let mut seen: BTreeSet<(usize, bool)> = BTreeSet::new();
-            for call in &def.calls {
-                let in_loop = call.loop_depth > 0;
-                for t in g.resolve(ws, from_crate.as_deref(), call) {
-                    if t != id && seen.insert((t, in_loop)) {
-                        g.edges[id].push((t, in_loop));
+            let from_crate = ws.crate_of(id);
+            let mut seen: BTreeSet<usize> = BTreeSet::new();
+            for call in &ws.def(id).calls {
+                for t in g.resolve(ws, from_crate, call) {
+                    if t != id && seen.insert(t) {
+                        g.edges[id].push(t);
                     }
                 }
             }
         }
-
-        // Hot propagation: worklist, PerEvent dominates Hot.
-        let mut work: Vec<usize> = Vec::new();
-        for id in 0..n {
-            if ws.def(id).hot_root {
-                g.hotness[id] = Hotness::Hot;
-                work.push(id);
-            }
-        }
-        while let Some(id) = work.pop() {
-            let state = g.hotness[id];
-            for &(callee, in_loop) in &g.edges[id].clone() {
-                let next = if state == Hotness::PerEvent || in_loop {
-                    Hotness::PerEvent
-                } else {
-                    Hotness::Hot
-                };
-                if next > g.hotness[callee] {
-                    g.hotness[callee] = next;
-                    // An annotated root keeps its own provenance even
-                    // when an incoming edge escalates it to PerEvent.
-                    if !ws.def(callee).hot_root {
-                        g.hot_parent[callee] = Some(id);
-                    }
-                    work.push(callee);
-                }
-            }
-        }
-
-        // Par reachability: plain BFS from fan-out functions.
+        // Plain BFS from the fan-out functions.
         let mut work: Vec<usize> = (0..n).filter(|&id| ws.def(id).has_par_call).collect();
         for &id in &work {
             g.par_reachable[id] = true;
         }
         while let Some(id) = work.pop() {
-            for &(callee, _) in &g.edges[id].clone() {
+            for &callee in &g.edges[id] {
                 if !g.par_reachable[callee] {
                     g.par_reachable[callee] = true;
+                    g.par_parent[callee] = Some(id);
                     work.push(callee);
                 }
             }
@@ -188,172 +128,91 @@ impl CallGraph {
         g
     }
 
-    /// The annotated root a symbol's hotness flows from, via the
-    /// provenance chain.
-    pub fn root_of(&self, mut id: usize) -> usize {
-        let mut guard = 0usize;
-        while let Some(p) = self.hot_parent[id] {
-            id = p;
-            guard += 1;
-            if guard > self.hot_parent.len() {
-                break;
-            }
-        }
-        id
-    }
-
-    /// Short human description of how `id` got hot: `` `root` → … ``.
+    /// Short human description of how `id` became par-reachable.
     pub fn chain_desc(&self, ws: &Workspace, id: usize) -> String {
-        let root = self.root_of(id);
-        let root_def = ws.def(root);
+        let mut root = id;
+        // Parents are set once, on first discovery, so the chain is
+        // acyclic and shorter than the symbol count.
+        while let Some(p) = self.par_parent[root] {
+            root = p;
+        }
+        let def = ws.def(root);
         if root == id {
-            format!("annotated hot root `{}`", root_def.name)
+            format!("`{}` fans out over pq-par itself", def.name)
         } else {
             format!(
-                "reachable from hot root `{}` ({}:{})",
-                root_def.name,
+                "`{}` is reachable from the pq-par fan-out in `{}` ({}:{})",
+                ws.def(id).name,
+                def.name,
                 ws.path_of(root),
-                root_def.line
+                def.line
             )
         }
-    }
-
-    /// Profile frames relevant to a finding in `id`: the function's
-    /// own span literals, every ancestor's on the provenance chain,
-    /// and the root's `hot-root(<frame>)` hint. Ordered most-specific
-    /// first.
-    pub fn frames_for(&self, ws: &Workspace, id: usize) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut cur = id;
-        let mut guard = 0usize;
-        loop {
-            let def = ws.def(cur);
-            for lit in &def.span_literals {
-                if !out.contains(lit) {
-                    out.push(lit.clone());
-                }
-            }
-            if let Some(hint) = &def.root_frame {
-                if !out.contains(hint) {
-                    out.push(hint.clone());
-                }
-            }
-            match self.hot_parent[cur] {
-                Some(p) if guard <= self.hot_parent.len() => {
-                    cur = p;
-                    guard += 1;
-                }
-                _ => break,
-            }
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{parse, HotRootAnn};
-    use crate::lexer::lex;
-    use crate::symbols::FileEntry;
-
     fn ws_of(files: &[(&str, &str)]) -> Workspace {
-        let entries = files
-            .iter()
-            .map(|(rel, src)| {
-                let (toks, _) = lex(src);
-                let hot: Vec<HotRootAnn> = src
-                    .lines()
-                    .enumerate()
-                    .filter(|(_, l)| l.contains("HOT_MARK"))
-                    .map(|(i, _)| HotRootAnn {
-                        line: (i + 1) as u32,
-                        frame: None,
-                    })
-                    .collect();
-                FileEntry {
-                    rel_path: rel.to_string(),
-                    crate_name: rel
-                        .strip_prefix("crates/")
-                        .and_then(|r| r.split('/').next())
-                        .map(String::from),
-                    ast: parse(&toks, &hot),
-                    is_test: false,
-                    test_from_line: None,
-                }
-            })
-            .collect();
-        Workspace::build(entries)
+        Workspace::build(
+            files
+                .iter()
+                .map(|(rel, src)| crate::engine::parse_file(rel, src).0)
+                .collect(),
+        )
     }
 
-    #[test]
-    fn loop_borne_calls_become_per_event() {
-        let ws = ws_of(&[(
-            "crates/sim/src/a.rs",
-            "// HOT_MARK\n\
-             fn run() { warm_up(); loop { dispatch(); } }\n\
-             fn warm_up() { prepare(); }\n\
-             fn prepare() {}\n\
-             fn dispatch() { handle(); }\n\
-             fn handle() {}\n\
-             fn unrelated() {}",
-        )]);
-        let g = CallGraph::build(&ws);
-        let h = |name: &str| g.hotness[ws.by_name[name][0]];
-        assert_eq!(h("run"), Hotness::Hot);
-        assert_eq!(h("warm_up"), Hotness::Hot);
-        assert_eq!(h("prepare"), Hotness::Hot);
-        assert_eq!(h("dispatch"), Hotness::PerEvent);
-        assert_eq!(h("handle"), Hotness::PerEvent, "per-event is transitive");
-        assert_eq!(h("unrelated"), Hotness::Cold);
+    fn reached(ws: &Workspace, g: &CallGraph, name: &str) -> Vec<bool> {
+        ws.by_name[name]
+            .iter()
+            .map(|&i| g.par_reachable[i])
+            .collect()
     }
 
     #[test]
     fn qualified_calls_respect_impl_types() {
         let ws = ws_of(&[(
-            "crates/sim/src/b.rs",
-            "// HOT_MARK\n\
-             fn run() { loop { Fast::step(); } }\n\
+            "crates/core/src/b.rs",
+            "fn run(v: &[u32]) { pq_par::par_map(v, |x| *x); Fast::step(); }\n\
              impl Fast { fn step() {} }\n\
              impl Slow { fn step() {} }",
         )]);
         let g = CallGraph::build(&ws);
-        let hot: Vec<Hotness> = ws.by_name["step"].iter().map(|&i| g.hotness[i]).collect();
-        assert_eq!(hot, [Hotness::PerEvent, Hotness::Cold]);
+        assert_eq!(reached(&ws, &g, "step"), [true, false]);
     }
 
     #[test]
     fn common_method_names_draw_no_edges() {
         let ws = ws_of(&[(
-            "crates/sim/src/c.rs",
-            "// HOT_MARK\n\
-             fn run(q: &mut Q) { loop { q.get(0); q.drain_ready(); } }\n\
+            "crates/core/src/c.rs",
+            "fn run(q: &mut Q) { pq_par::par_map(q, |x| *x); q.get(0); q.drain_ready(); }\n\
              impl Store { fn get(&self) {} }\n\
              impl Q { fn drain_ready(&mut self) {} }",
         )]);
         let g = CallGraph::build(&ws);
-        assert_eq!(g.hotness[ws.by_name["get"][0]], Hotness::Cold);
-        assert_eq!(g.hotness[ws.by_name["drain_ready"][0]], Hotness::PerEvent);
+        assert_eq!(reached(&ws, &g, "get"), [false]);
+        assert_eq!(reached(&ws, &g, "drain_ready"), [true]);
     }
 
     #[test]
     fn cross_file_propagation_and_chain() {
         let ws = ws_of(&[
             (
-                "crates/sim/src/event.rs",
-                "// HOT_MARK\nfn pump() { loop { crate::web::consume(); } }",
+                "crates/bench/src/sweep.rs",
+                "fn sweep(v: &[f64]) { pq_par::par_map(v, |x| *x); crate::core::consume(); }",
             ),
             (
-                "crates/web/src/browser.rs",
+                "crates/core/src/stats.rs",
                 "pub fn consume() { record(); }\nfn record() {}",
             ),
         ]);
         let g = CallGraph::build(&ws);
         let record = ws.by_name["record"][0];
-        assert_eq!(g.hotness[record], Hotness::PerEvent);
+        assert!(g.par_reachable[record]);
         let desc = g.chain_desc(&ws, record);
-        assert!(desc.contains("pump"), "{desc}");
-        assert!(desc.contains("crates/sim/src/event.rs"), "{desc}");
+        assert!(desc.contains("sweep"), "{desc}");
+        assert!(desc.contains("crates/bench/src/sweep.rs"), "{desc}");
     }
 
     #[test]
@@ -374,12 +233,13 @@ mod tests {
     #[test]
     fn recursion_terminates() {
         let ws = ws_of(&[(
-            "crates/sim/src/e.rs",
-            "// HOT_MARK\nfn ping() { loop { pong(); } }\nfn pong() { ping(); }",
+            "crates/core/src/e.rs",
+            "fn ping(v: &[u32]) { pq_par::par_map(v, |x| *x); pong(); }\nfn pong() { ping(); }",
         )]);
         let g = CallGraph::build(&ws);
-        assert_eq!(g.hotness[ws.by_name["pong"][0]], Hotness::PerEvent);
-        // root_of must not spin on the cycle.
-        let _ = g.root_of(ws.by_name["pong"][0]);
+        let pong = ws.by_name["pong"][0];
+        assert!(g.par_reachable[pong]);
+        // The provenance chain must not spin on the cycle.
+        assert!(g.chain_desc(&ws, pong).contains("ping"));
     }
 }

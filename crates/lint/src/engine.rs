@@ -1,14 +1,12 @@
 //! The lint engine: workspace walk → lex → parse → symbol table +
-//! call graph → rules → suppressions → baseline comparison.
-//!
-//! ## Two passes
+//! call graph → rules → suppressions.
 //!
 //! Pass 1 lexes and structurally parses every file (see
 //! [`crate::ast`]) and builds the workspace symbol table and call
-//! graph. Pass 2 runs the token rules and the semantic families
-//! against each file with that cross-file context in hand. Single-file
-//! entry points ([`lint_source`]) build a one-file workspace, so the
-//! same rules run everywhere.
+//! graph. Pass 2 runs the rules against each file with that
+//! cross-file context in hand. The single-file entry point
+//! ([`lint_source`]) builds a one-file workspace, so the same rules
+//! run everywhere.
 //!
 //! ## Suppressions
 //!
@@ -16,44 +14,19 @@
 //! directly above it:
 //!
 //! ```text
-//! // pq-lint: allow(panic) -- tail index bounded by the loop above
-//! let last = spans[spans.len() - 1];
+//! // pq-lint: allow(float-flow) -- summed over one cell's serial run vector
+//! let mean = all.iter().map(|m| m.plt_ms).sum::<f64>() / n;
 //! ```
 //!
 //! The `-- <reason>` is **mandatory**: a reasonless (or unknown-rule)
 //! suppression does not suppress anything and is itself reported under
-//! the `suppression` rule.
-//!
-//! ## Hot-root annotations
-//!
-//! The H family propagates from functions annotated on the line(s)
-//! directly above their `fn`:
-//!
-//! ```text
-//! // pq-lint: hot-root(experiment) -- per-event dispatch loop
-//! pub fn run(mut self) -> PageLoad { … }
-//! ```
-//!
-//! The parenthesized profile-frame hint is optional; the reason is
-//! mandatory, exactly like suppressions.
-//!
-//! ## Baseline
-//!
-//! `pq-lint.baseline` (workspace root) records grandfathered findings
-//! as `(rule, file, count)` triples. The engine fails when a file's
-//! count for a rule **exceeds** its baselined count (new violation)
-//! and also when it **falls below** it (stale entry: the debt was paid
-//! — shrink the baseline so it can never grow back). Counts rather
-//! than line numbers keep entries stable under unrelated edits while
-//! still enforcing the ratchet.
+//! the `suppression` rule. Clippy's lints are suppressed with
+//! `#[expect(clippy::…, reason = "…")]` instead.
 
-use crate::ast::{parse, FileAst, HotRootAnn};
-use crate::baseline::Baseline;
+use crate::ast::parse;
 use crate::callgraph::CallGraph;
-use crate::lexer::{lex, Comment, Tok};
-use crate::rules::{
-    check_file, check_semantic, first_cfg_test_line, rule, Family, FileContext, Finding,
-};
+use crate::lexer::{lex, Comment};
+use crate::rules::{check, first_cfg_test_line, rule, Finding};
 use crate::symbols::{FileEntry, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -68,18 +41,14 @@ pub struct FileFinding {
 }
 
 impl FileFinding {
-    /// `path:line:col: family[rule] message (snippet)` — one line per
+    /// `path:line:col: [rule] message [span: snippet]` — one line per
     /// finding, clickable in editors and CI logs.
     pub fn render(&self) -> String {
-        let fam = rule(self.finding.rule)
-            .map(|r| r.family)
-            .unwrap_or(crate::rules::Family::L);
         format!(
-            "{}:{}:{}: {:?}[{}] {} [span: {}]",
+            "{}:{}:{}: [{}] {} [span: {}]",
             self.path,
             self.finding.line,
             self.finding.col,
-            fam,
             self.finding.rule,
             self.finding.message,
             self.finding.snippet
@@ -87,30 +56,21 @@ impl FileFinding {
     }
 }
 
-/// Outcome of linting a file set against a baseline.
+/// Outcome of linting a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings not absorbed by the baseline, i.e. new violations.
-    pub new: Vec<FileFinding>,
-    /// `(rule, path, baselined, found)` for entries whose debt shrank
-    /// or vanished — the baseline must be updated (it only shrinks).
-    pub stale: Vec<(String, String, usize, usize)>,
-    /// Findings absorbed by the baseline (grandfathered).
-    pub grandfathered: usize,
+    /// Unsuppressed findings.
+    pub findings: Vec<FileFinding>,
     /// Suppressed findings (valid inline allows).
     pub suppressed: usize,
     /// Files scanned.
     pub files: usize,
-    /// Every H-family finding (post-suppression, pre-baseline) — the
-    /// input to `--profile` ranking, which must see grandfathered
-    /// debt too.
-    pub hot: Vec<FileFinding>,
 }
 
 impl Report {
-    /// Gate verdict: clean means no new findings and no stale entries.
+    /// Gate verdict: clean means no unsuppressed finding.
     pub fn clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
+        self.findings.is_empty()
     }
 }
 
@@ -121,34 +81,18 @@ struct Suppression {
     line: u32,
     end_line: u32,
     col: u32,
-    used: bool,
 }
 
 /// All directives parsed from one file's comments.
 #[derive(Default)]
-struct Directives {
+pub(crate) struct Directives {
     sups: Vec<Suppression>,
-    hot_roots: Vec<HotRootAnn>,
     /// Malformed directives, reported as `suppression` findings.
     malformed: Vec<Finding>,
 }
 
-impl Directives {
-    fn push_malformed(&mut self, c: &Comment, snippet: &str, message: String) {
-        self.malformed.push(Finding {
-            rule: "suppression",
-            line: c.line,
-            col: c.col,
-            snippet: snippet.to_string(),
-            message,
-            frames: Vec::new(),
-        });
-    }
-}
-
-/// Parse `allow(panic, index) -- reason` suppressions and
-/// `hot-root[(frame)] -- reason` annotations out of the comments
-/// (both behind the usual directive prefix).
+/// Parse `allow(float-flow, unsafe) -- reason` suppressions out of the
+/// comments (behind the usual directive prefix).
 fn parse_directives(comments: &[Comment]) -> Directives {
     let mut out = Directives::default();
     for c in comments {
@@ -156,222 +100,116 @@ fn parse_directives(comments: &[Comment]) -> Directives {
             continue;
         };
         let rest = c.text[at + "pq-lint:".len()..].trim_start();
-        if let Some(tail) = rest.strip_prefix("hot-root") {
-            let tail = tail.trim_start();
-            let (frame, tail) = if let Some(inner) = tail.strip_prefix('(') {
-                match inner.find(')') {
-                    Some(close) => (
-                        Some(inner[..close].trim().to_string()).filter(|f| !f.is_empty()),
-                        inner[close + 1..].trim_start(),
-                    ),
-                    None => {
-                        out.push_malformed(
-                            c,
-                            "hot-root(",
-                            "malformed hot-root annotation; expected \
-                             `// pq-lint: hot-root[(<frame>)] -- <reason>`"
-                                .into(),
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                (None, tail)
-            };
-            let has_reason = tail
-                .strip_prefix("--")
-                .map(|r| !r.trim().is_empty())
-                .unwrap_or(false);
-            if !has_reason {
-                out.push_malformed(
-                    c,
-                    "hot-root",
-                    "hot-root annotation lacks the mandatory `-- <reason>`; say why \
-                     this function anchors the hot path"
-                        .into(),
-                );
-                continue;
-            }
-            out.hot_roots.push(HotRootAnn {
-                line: c.end_line,
-                frame,
+        let parsed = rest.strip_prefix("allow(").and_then(|list| {
+            let close = list.find(')')?;
+            let rules: Vec<String> = list[..close]
+                .split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect();
+            (!rules.is_empty()).then_some((rules, list[close + 1..].trim_start()))
+        });
+        // An unparsable directive is itself a lint error.
+        let Some((rules, tail)) = parsed else {
+            out.malformed.push(Finding {
+                rule: "suppression",
+                line: c.line,
+                col: c.col,
+                snippet: "pq-lint:".into(),
+                message: "malformed suppression; expected \
+                          `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>`"
+                    .into(),
             });
             continue;
-        }
-        let Some(list) = rest.strip_prefix("allow(") else {
-            // An unparsable directive is itself a lint error.
-            out.push_malformed(
-                c,
-                "pq-lint:",
-                "malformed suppression; expected \
-                 `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>` or \
-                 `// pq-lint: hot-root[(<frame>)] -- <reason>`"
-                    .into(),
-            );
-            continue;
         };
-        let Some(close) = list.find(')') else {
-            out.push_malformed(
-                c,
-                "pq-lint:",
-                "malformed suppression; expected \
-                 `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>`"
-                    .into(),
-            );
-            continue;
-        };
-        let rules: Vec<String> = list[..close]
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let tail = list[close + 1..].trim_start();
-        let has_reason = tail
-            .strip_prefix("--")
-            .map(|r| !r.trim().is_empty())
-            .unwrap_or(false);
-        if rules.is_empty() {
-            out.push_malformed(
-                c,
-                "allow()",
-                "malformed suppression; expected \
-                 `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>`"
-                    .into(),
-            );
-            continue;
-        }
         out.sups.push(Suppression {
             rules,
-            has_reason,
+            has_reason: tail
+                .strip_prefix("--")
+                .is_some_and(|r| !r.trim().is_empty()),
             line: c.line,
             end_line: c.end_line,
             col: c.col,
-            used: false,
         });
     }
     out
 }
 
-/// Pass-1 product for one file: everything both passes need.
-struct ParsedFile {
-    rel: String,
-    tokens: Vec<Tok>,
-    directives: Directives,
-    ast: FileAst,
-    crate_name: Option<String>,
-    is_test: bool,
-    test_from_line: Option<u32>,
-    is_crate_root: bool,
-}
-
-fn parse_file(rel: &str, src: &str) -> ParsedFile {
+/// Lex and parse one file: the workspace entry plus its suppression
+/// directives.
+pub(crate) fn parse_file(rel: &str, src: &str) -> (FileEntry, Directives) {
     let (tokens, comments) = lex(src);
-    let directives = parse_directives(&comments);
-    let ast = parse(&tokens, &directives.hot_roots);
-    ParsedFile {
-        rel: rel.to_string(),
-        test_from_line: first_cfg_test_line(&tokens),
-        tokens,
-        ast,
-        directives,
+    let entry = FileEntry {
+        rel_path: rel.to_string(),
         crate_name: crate_of(rel).map(String::from),
+        test_from_line: first_cfg_test_line(&tokens),
+        ast: parse(&tokens),
+        tokens,
         is_test: is_test_path(rel),
         is_crate_root: is_crate_root(rel),
-    }
+    };
+    (entry, parse_directives(&comments))
 }
 
-impl ParsedFile {
-    fn entry(&self) -> FileEntry {
-        FileEntry {
-            rel_path: self.rel.clone(),
-            crate_name: self.crate_name.clone(),
-            ast: self.ast.clone(),
-            is_test: self.is_test,
-            test_from_line: self.test_from_line,
-        }
+/// Apply suppressions to one file's raw findings and append directive
+/// hygiene findings. Returns (survivors, suppressed count).
+fn finish(directives: Directives, raw: Vec<Finding>) -> (Vec<Finding>, usize) {
+    let Directives {
+        sups,
+        mut malformed,
+    } = directives;
+    let (hidden, mut findings): (Vec<Finding>, Vec<Finding>) = raw.into_iter().partition(|f| {
+        sups.iter().any(|s| {
+            (f.line == s.line || f.line == s.end_line + 1)
+                && s.has_reason
+                && s.rules.iter().any(|r| r == f.rule || r == "all")
+        })
+    });
+    // Directive hygiene: unknown rule names or missing reasons.
+    for s in &sups {
+        let unknown: Vec<&str> = s
+            .rules
+            .iter()
+            .filter(|r| r.as_str() != "all" && rule(r).is_none())
+            .map(String::as_str)
+            .collect();
+        let (snippet, message) = if !s.has_reason {
+            (
+                format!("allow({})", s.rules.join(", ")),
+                "suppression lacks the mandatory `-- <reason>`; say why the invariant holds"
+                    .to_string(),
+            )
+        } else if !unknown.is_empty() {
+            (
+                format!("allow({})", unknown.join(", ")),
+                format!(
+                    "unknown rule name(s) {}; see --rules for the registry",
+                    unknown.join(", ")
+                ),
+            )
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: "suppression",
+            line: s.line,
+            col: s.col,
+            snippet,
+            message,
+        });
     }
-
-    fn context(&self) -> FileContext<'_> {
-        FileContext {
-            rel_path: &self.rel,
-            crate_name: self.crate_name.as_deref(),
-            is_test_file: self.is_test,
-            test_from_line: self.test_from_line,
-            tokens: &self.tokens,
-            is_crate_root: self.is_crate_root,
-        }
-    }
-
-    /// Apply suppressions to raw findings and append directive
-    /// hygiene findings. Returns (survivors, suppressed count).
-    fn finish(&mut self, raw: Vec<Finding>) -> (Vec<Finding>, usize) {
-        let sups = &mut self.directives.sups;
-        let mut findings = Vec::new();
-        let mut suppressed = 0usize;
-        for f in raw {
-            let hit = sups.iter_mut().find(|s| {
-                (f.line == s.line || f.line == s.end_line + 1)
-                    && s.has_reason
-                    && s.rules.iter().any(|r| r == f.rule || r == "all")
-            });
-            match hit {
-                Some(s) => {
-                    s.used = true;
-                    suppressed += 1;
-                }
-                None => findings.push(f),
-            }
-        }
-        // Directive hygiene: unknown rule names or missing reasons.
-        for s in sups.iter() {
-            let unknown: Vec<&str> = s
-                .rules
-                .iter()
-                .filter(|r| r.as_str() != "all" && rule(r).is_none())
-                .map(String::as_str)
-                .collect();
-            if !s.has_reason {
-                findings.push(Finding {
-                    rule: "suppression",
-                    line: s.line,
-                    col: s.col,
-                    snippet: format!("allow({})", s.rules.join(", ")),
-                    message: "suppression lacks the mandatory `-- <reason>`; say why the \
-                              invariant holds"
-                        .into(),
-                    frames: Vec::new(),
-                });
-            } else if !unknown.is_empty() {
-                findings.push(Finding {
-                    rule: "suppression",
-                    line: s.line,
-                    col: s.col,
-                    snippet: format!("allow({})", unknown.join(", ")),
-                    message: format!(
-                        "unknown rule name(s) {}; see --rules for the registry",
-                        unknown.join(", ")
-                    ),
-                    frames: Vec::new(),
-                });
-            }
-        }
-        findings.append(&mut self.directives.malformed);
-        findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-        (findings, suppressed)
-    }
+    findings.append(&mut malformed);
+    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    (findings, hidden.len())
 }
 
 /// Lint one file's source text with a single-file workspace (the
-/// semantic families see only this file's symbols). Returns
+/// cross-file rules see only this file's symbols). Returns
 /// unsuppressed findings plus the number suppressed.
 pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Finding>, usize) {
-    let mut pf = parse_file(rel_path, src);
-    let ws = Workspace::build(vec![pf.entry()]);
-    let g = CallGraph::build(&ws);
-    let ctx = pf.context();
-    let mut raw = check_file(&ctx);
-    check_semantic(&ctx, 0, &ws, &g, &mut raw);
-    pf.finish(raw)
+    let (entry, directives) = parse_file(rel_path, src);
+    let ws = Workspace::build(vec![entry]);
+    finish(directives, check(&ws, 0, &CallGraph::build(&ws)))
 }
 
 /// `crates/<name>/…` → `Some(name)`.
@@ -491,209 +329,88 @@ pub fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Everything one full-workspace lint produces, before baseline
-/// accounting.
-struct WorkspaceLint {
-    files: usize,
-    suppressed: usize,
-    by_key: BTreeMap<(String, String), Vec<FileFinding>>,
-    hot: Vec<FileFinding>,
-}
-
-/// Both passes over the whole workspace.
-fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
-    let files = workspace_files(root)?;
-    let mut parsed: Vec<ParsedFile> = Vec::with_capacity(files.len());
-    for path in &files {
-        let rel = rel_str(root, path);
-        let src = std::fs::read_to_string(path)?;
-        parsed.push(parse_file(&rel, &src));
+/// Lint the whole workspace under `root`.
+pub fn run(root: &Path) -> std::io::Result<Report> {
+    let mut entries = Vec::new();
+    let mut directives = Vec::new();
+    for path in workspace_files(root)? {
+        let (entry, d) = parse_file(&rel_str(root, &path), &std::fs::read_to_string(&path)?);
+        entries.push(entry);
+        directives.push(d);
     }
-    let mut ws = Workspace::build(parsed.iter().map(ParsedFile::entry).collect());
+    let mut ws = Workspace::build(entries);
     ws.crate_deps = read_crate_deps(root);
     let g = CallGraph::build(&ws);
 
-    let mut out = WorkspaceLint {
-        files: parsed.len(),
-        suppressed: 0,
-        by_key: BTreeMap::new(),
-        hot: Vec::new(),
-    };
-    for (i, pf) in parsed.iter_mut().enumerate() {
-        let ctx = pf.context();
-        let mut raw = check_file(&ctx);
-        check_semantic(&ctx, i, &ws, &g, &mut raw);
-        let (findings, suppressed) = pf.finish(raw);
-        out.suppressed += suppressed;
-        for f in findings {
-            let ff = FileFinding {
-                path: pf.rel.clone(),
-                finding: f,
-            };
-            if rule(ff.finding.rule).is_some_and(|r| r.family == Family::H) {
-                out.hot.push(ff.clone());
-            }
-            out.by_key
-                .entry((ff.finding.rule.to_string(), pf.rel.clone()))
-                .or_default()
-                .push(ff);
-        }
-    }
-    Ok(out)
-}
-
-/// Lint the whole workspace under `root` against `baseline`.
-pub fn run(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
-    let lint = lint_workspace(root)?;
     let mut report = Report {
-        files: lint.files,
-        suppressed: lint.suppressed,
-        hot: lint.hot,
+        files: ws.files.len(),
         ..Report::default()
     };
-    // Compare against the baseline in both directions.
-    for ((rule_name, path), found) in &lint.by_key {
-        let allowed = baseline.count(rule_name, path);
-        match found.len().cmp(&allowed) {
-            std::cmp::Ordering::Greater => {
-                report.grandfathered += allowed;
-                report.new.extend(found.iter().cloned());
-            }
-            std::cmp::Ordering::Equal => report.grandfathered += allowed,
-            std::cmp::Ordering::Less => {
-                report.grandfathered += found.len();
-                report
-                    .stale
-                    .push((rule_name.clone(), path.clone(), allowed, found.len()));
-            }
-        }
+    for (i, d) in directives.into_iter().enumerate() {
+        let (findings, suppressed) = finish(d, check(&ws, i, &g));
+        report.suppressed += suppressed;
+        let path = &ws.files[i].rel_path;
+        report
+            .findings
+            .extend(findings.into_iter().map(|finding| FileFinding {
+                path: path.clone(),
+                finding,
+            }));
     }
-    // Baseline entries whose file no longer has any finding at all
-    // (or no longer exists) are stale too.
-    for (rule_name, path, allowed) in baseline.entries() {
-        if allowed > 0 && !lint.by_key.contains_key(&(rule_name.clone(), path.clone())) {
-            report.stale.push((rule_name, path, allowed, 0));
-        }
-    }
-    report.stale.sort();
     Ok(report)
-}
-
-/// Current (rule, path) → count map for `--write-baseline`.
-pub fn current_counts(root: &Path) -> std::io::Result<BTreeMap<(String, String), usize>> {
-    let lint = lint_workspace(root)?;
-    Ok(lint.by_key.into_iter().map(|(k, v)| (k, v.len())).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A digest-crate file whose one function fans out over pq-par and
+    /// sums floats: one `float-flow` finding per `.sum()`.
+    const FANOUT: &str = "fn f(v: &[f64]) -> f64 {\n    pq_par::par_map(v, |x| *x);\n";
+
     #[test]
     fn suppression_same_line_and_line_above() {
-        let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // pq-lint: allow(panic) -- x checked by caller
-    let a = x.unwrap();
-    let b = x.unwrap(); // pq-lint: allow(panic) -- ditto
-    a + b
-}
-";
-        let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
+        let src = format!(
+            "{FANOUT}    // pq-lint: allow(float-flow) -- partials combined in index order\n    \
+             let a: f64 = v.iter().sum();\n    \
+             let b: f64 = v.iter().sum(); // pq-lint: allow(float-flow) -- ditto\n    \
+             a + b\n}}\n"
+        );
+        let (findings, suppressed) = lint_source("crates/core/src/x.rs", &src);
         assert_eq!(suppressed, 2);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn reason_is_mandatory() {
-        let src = "\
-fn f(x: Option<u32>) -> u32 {
-    // pq-lint: allow(panic)
-    x.unwrap()
-}
-";
-        let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
+        let src = format!("{FANOUT}    // pq-lint: allow(float-flow)\n    v.iter().sum()\n}}\n");
+        let (findings, suppressed) = lint_source("crates/core/src/x.rs", &src);
         assert_eq!(suppressed, 0);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"panic"), "finding not suppressed");
+        assert!(rules.contains(&"float-flow"), "finding not suppressed");
         assert!(rules.contains(&"suppression"), "directive itself flagged");
     }
 
     #[test]
     fn unknown_rule_names_are_flagged() {
-        let src = "// pq-lint: allow(made-up) -- why\nfn f() {}\n";
-        let (findings, _) = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "suppression");
+        // Retired rules are unknown too: clippy owns them now.
+        for name in ["made-up", "index"] {
+            let src = format!("// pq-lint: allow({name}) -- why\nfn f() {{}}\n");
+            let (findings, _) = lint_source("crates/core/src/x.rs", &src);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].rule, "suppression");
+        }
     }
 
     #[test]
     fn multi_rule_allow() {
-        let src = "\
-fn f(v: &[u32]) -> u32 {
-    // pq-lint: allow(panic, index) -- v non-empty by contract
-    v[0] + v.first().unwrap()
-}
-";
-        let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
+        // A crate root without the forbid attribute, fanning out and
+        // summing on its first line: two rules, one directive.
+        let src = "fn f(v: &[f64]) -> f64 { pq_par::par_map(v, |x| *x); v.iter().sum() } \
+                   // pq-lint: allow(unsafe, float-flow) -- fixture-style root\n";
+        let (findings, suppressed) = lint_source("crates/core/src/lib.rs", src);
         assert_eq!(suppressed, 2);
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn hot_root_annotation_drives_h_family() {
-        let src = "\
-// pq-lint: hot-root(experiment) -- the per-event dispatch loop
-fn run(n: u32) {
-    for _ in 0..n {
-        dispatch();
-    }
-}
-fn dispatch() {
-    let label = 3u32.to_string();
-    let _ = label;
-}
-fn cold() {
-    let label = 3u32.to_string();
-    let _ = label;
-}
-";
-        let (findings, _) = lint_source("crates/sim/src/x.rs", src);
-        let hot: Vec<(&str, u32)> = findings
-            .iter()
-            .filter(|f| f.rule.starts_with("hot"))
-            .map(|f| (f.rule, f.line))
-            .collect();
-        assert_eq!(hot, [("hot-alloc", 8)], "{findings:?}");
-        // The finding carries the root's frame hint for --profile.
-        let f = findings.iter().find(|f| f.rule == "hot-alloc").unwrap();
-        assert_eq!(f.frames, ["experiment"]);
-    }
-
-    #[test]
-    fn hot_root_requires_reason() {
-        let src = "// pq-lint: hot-root\nfn run() {}\n";
-        let (findings, _) = lint_source("crates/sim/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "suppression");
-        assert!(findings[0].message.contains("hot-root"), "{findings:?}");
-    }
-
-    #[test]
-    fn hot_findings_are_suppressible() {
-        let src = "\
-// pq-lint: hot-root -- service loop
-fn run(n: u32) {
-    for _ in 0..n {
-        // pq-lint: allow(hot-loop-alloc) -- cold error path only
-        let s = n.to_string();
-        let _ = s;
-    }
-}
-";
-        let (findings, suppressed) = lint_source("crates/sim/src/x.rs", src);
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!(suppressed, 1);
     }
 
     #[test]

@@ -44,19 +44,6 @@ pub struct Tok {
     pub col: u32,
 }
 
-impl Tok {
-    /// Column just past the token's last character **when the token is
-    /// single-line** (multi-line strings return the start column; the
-    /// adjacency checks that use this never involve them).
-    pub fn end_col(&self) -> u32 {
-        if self.text.contains('\n') {
-            self.col
-        } else {
-            self.col + self.text.chars().count() as u32
-        }
-    }
-}
-
 /// One comment (line or block) with its source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Comment {
@@ -444,7 +431,6 @@ mod tests {
         let (toks, _) = lex("a\n  bb");
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
-        assert_eq!(toks[1].end_col(), 5);
     }
 
     #[test]

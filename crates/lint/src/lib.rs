@@ -1,59 +1,42 @@
-//! # pq-lint — the workspace invariant checker
+//! # pq-lint — the workspace invariants clippy cannot express
 //!
 //! The pipeline's central correctness property — study digests
 //! bit-identical across `PQ_JOBS` worker counts and fault seeds — is a
-//! *code* property: no randomized-iteration containers, no wall-clock
-//! reads, no ad-hoc RNG keying in the layers that feed the digest.
-//! Until this crate, that property rested on convention. `pq-lint`
-//! turns it into a mechanical gate, the same way the paper's
-//! conformance filter (Table 3, R1–R7) turns "valid study data" from a
-//! judgement call into a rule table.
+//! *code* property. Most of it is one-expression checks, and clippy
+//! enforces those from the root `clippy.toml` (no `HashMap`/`HashSet`,
+//! wall clock, raw RNG construction, raw file writes or env reads
+//! outside the sanctioned sites) and the digest crates' `[lints]`
+//! tables (no `unwrap`, `expect`, panics or bare indexing).
 //!
-//! The checker tokenizes every workspace `.rs` file with a small
-//! hand-rolled lexer ([`lexer`] — comments, strings, idents, no full
-//! parse), structurally parses the token stream into a lightweight
-//! AST ([`ast`] — fns/impls, loops, calls, allocation shapes), builds
-//! a workspace symbol table ([`symbols`]) and a conservative
-//! call graph with hot-path reachability from annotated roots
-//! ([`callgraph`]), then runs a registry of project-invariant rules
-//! ([`rules`]) in six families:
+//! This crate keeps the rules that need a whole-workspace view. It
+//! tokenizes every workspace `.rs` file with a small hand-rolled lexer
+//! ([`lexer`]), parses the token stream into a lightweight AST
+//! ([`ast`]), builds a workspace symbol table ([`symbols`]) and a
+//! conservative call graph ([`callgraph`]), then runs the registry
+//! ([`rules`]):
 //!
-//! | family | rules | invariant |
-//! |--------|-------|-----------|
-//! | **D** (determinism) | `hash`, `time`, `rng`, `float-sum` | digest-affecting code is a pure function of `(seed, cell coordinates)` |
-//! | **P** (panic-safety) | `panic`, `index`, `unsafe`, `results-io` | hot paths degrade through `PqError`, never abort the grid |
-//! | **O** (observability) | `env`, `metric-name`, `prof-name` | config flows through `pq_obs::env`; metric names stay `crate.noun_verb` |
-//! | **H** (hot-path) | `hot-loop-alloc`, `hot-alloc` | no transient heap traffic in code reachable from a `hot-root` annotation |
-//! | **D2** (determinism dataflow) | `hash-flow`, `float-flow` | the D invariants hold across aliases and file boundaries |
-//! | **A** (API hygiene) | `env-name`, `name-registry` | every env var / metric / span name matches a registry declared in source |
+//! | rule | invariant |
+//! |------|-----------|
+//! | `float-flow` | float accumulation in a digest crate never depends on pq-par chunk placement, across files |
+//! | `env-name` | every env var read through `pq_obs::env` is declared in `KNOWN_VARS` |
+//! | `name-registry` | every metric / span literal is declared in `METRIC_NAMES` / `SPAN_NAMES` |
+//! | `unsafe` | every crate root, binaries included, carries `#![forbid(unsafe_code)]` |
+//! | `suppression` | pq-lint's own suppressions name known rules and give a reason |
 //!
 //! Findings are reported as `file:line:col` with the offending span.
-//! Inline suppression is `// pq-lint: allow(panic) -- reason` with a
-//! **mandatory** reason; hot roots are annotated
-//! `// pq-lint: hot-root(frame) -- reason` above the `fn`. The
-//! committed `pq-lint.baseline` holds grandfathered findings so
-//! `cargo run -p pq-lint -- --deny` gates CI from day one — new
-//! violations fail, and the baseline can only ever shrink (a stale
-//! entry is itself an error). See [`engine`] and [`baseline`] for the
-//! exact semantics. `--profile results/prof.folded` re-ranks H-family
-//! findings by measured self-time ([`profile`]), so the burn-down
-//! order follows where the cycles actually go.
+//! Inline suppression is `// pq-lint: allow(float-flow) -- reason`
+//! with a **mandatory** reason; `cargo run -p pq-lint -- --deny` fails
+//! on any unsuppressed finding. See [`engine`] for the semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod engine;
 pub mod lexer;
-pub mod profile;
 pub mod rules;
 pub mod symbols;
 
-pub use baseline::Baseline;
-pub use callgraph::{CallGraph, Hotness};
 pub use engine::{lint_source, run, workspace_files, Report};
-pub use profile::Profile;
-pub use rules::{Family, Finding, RuleInfo, RULES};
-pub use symbols::Workspace;
+pub use rules::{Finding, RuleInfo, RULES};

@@ -1,19 +1,15 @@
 //! `pq-lint` CLI — the CI gate.
 //!
 //! ```text
-//! cargo run -p pq-lint --                    # report findings (exit 0)
-//! cargo run -p pq-lint -- --deny             # CI gate: exit 1 on new/stale
-//! cargo run -p pq-lint -- --write-baseline   # regenerate pq-lint.baseline
-//! cargo run -p pq-lint -- --rules            # print the rule registry
-//! cargo run -p pq-lint -- --root <dir>       # lint another checkout
-//! cargo run -p pq-lint -- --profile results/prof.folded
-//!                                            # rank H-family findings by
-//!                                            # measured self-time
+//! cargo run -p pq-lint --               # report findings (exit 0)
+//! cargo run -p pq-lint -- --deny        # CI gate: exit 1 on any finding
+//! cargo run -p pq-lint -- --rules       # print the rule registry
+//! cargo run -p pq-lint -- --root <dir>  # lint another checkout
 //! ```
 
 #![forbid(unsafe_code)]
 
-use pq_lint::{baseline::Baseline, engine, rules};
+use pq_lint::{engine, rules};
 use std::path::PathBuf;
 
 fn main() {
@@ -22,23 +18,31 @@ fn main() {
 
 fn real_main() -> i32 {
     let mut deny = false;
-    let mut write = false;
-    let mut show_rules = false;
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut profile_path: Option<PathBuf> = None;
-
+    let mut root = PathBuf::from(".");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--write-baseline" => write = true,
-            "--rules" => show_rules = true,
-            "--root" => root = args.next().map(PathBuf::from),
-            "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--profile" => profile_path = args.next().map(PathBuf::from),
+            "--rules" => {
+                for r in rules::RULES {
+                    println!("{:<14} {}", r.name, r.what);
+                }
+                return 0;
+            }
+            "--root" => root = args.next().map(PathBuf::from).unwrap_or(root),
             "--help" | "-h" => {
-                print_help();
+                println!(
+                    "pq-lint — the workspace invariants clippy cannot express\n\
+                     \n\
+                     USAGE: pq-lint [--deny] [--rules] [--root DIR]\n\
+                     \n\
+                     --deny      exit 1 on any finding (the CI gate)\n\
+                     --rules     print the rule registry\n\
+                     --root DIR  workspace root to lint (default .)\n\
+                     \n\
+                     Suppress a finding with `// pq-lint: allow(<rule>) -- <reason>` on the same\n\
+                     line or the line above; the reason is mandatory."
+                );
                 return 0;
             }
             other => {
@@ -48,140 +52,28 @@ fn real_main() -> i32 {
         }
     }
 
-    if show_rules {
-        println!("{:<12} {:<3} description", "rule", "fam");
-        for r in rules::RULES {
-            println!("{:<12} {:<3?} {}", r.name, r.family, r.what);
-        }
-        return 0;
-    }
-
-    let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("pq-lint.baseline"));
-
-    if write {
-        let counts = match engine::current_counts(&root) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("pq-lint: walking {} failed: {e}", root.display());
-                return 2;
-            }
-        };
-        let total: usize = counts.values().sum();
-        let body = Baseline::render(&counts);
-        if let Err(e) = std::fs::write(&baseline_path, body) {
-            eprintln!("pq-lint: writing {} failed: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "pq-lint: wrote {} ({} entries, {total} grandfathered findings)",
-            baseline_path.display(),
-            counts.len()
-        );
-        return 0;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("pq-lint: {e}");
-            return 2;
-        }
-    };
-    let report = match engine::run(&root, &baseline) {
+    let report = match engine::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pq-lint: walking {} failed: {e}", root.display());
             return 2;
         }
     };
-
-    // Profile-guided ranking: every H-family finding — grandfathered
-    // debt included, that's the burn-down queue — ordered by measured
-    // inclusive self-time of its best-matching frame.
-    if let Some(pp) = &profile_path {
-        let prof = match pq_lint::Profile::load(pp) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("pq-lint: reading profile {} failed: {e}", pp.display());
-                return 2;
-            }
-        };
-        let mut ranked: Vec<(u64, &pq_lint::engine::FileFinding)> = report
-            .hot
-            .iter()
-            .map(|f| (prof.weight(&f.finding.frames), f))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.0.cmp(&a.0)
-                .then_with(|| (&a.1.path, a.1.finding.line).cmp(&(&b.1.path, b.1.finding.line)))
-        });
-        println!(
-            "ranked hot-path findings ({} total, profile {}):",
-            ranked.len(),
-            pp.display()
-        );
-        for (i, (w, f)) in ranked.iter().enumerate() {
-            println!(
-                "{:>4}. {:>9.3}ms {}:{}:{} [{}] {}",
-                i + 1,
-                *w as f64 / 1e6,
-                f.path,
-                f.finding.line,
-                f.finding.col,
-                f.finding.rule,
-                f.finding.snippet
-            );
-        }
-    }
-
-    for f in &report.new {
+    for f in &report.findings {
         println!("{}", f.render());
     }
-    for (rule, path, allowed, found) in &report.stale {
-        println!(
-            "STALE baseline entry: {rule} {path} expects {allowed} finding(s), found {found} \
-             — debt was paid down; regenerate with --write-baseline (the baseline only shrinks)"
-        );
-    }
     println!(
-        "pq-lint: {} file(s), {} new finding(s), {} stale baseline entr(ies), \
-         {} grandfathered, {} suppressed inline [baseline: {}]",
+        "pq-lint: {} file(s), {} finding(s), {} suppressed inline",
         report.files,
-        report.new.len(),
-        report.stale.len(),
-        report.grandfathered,
+        report.findings.len(),
         report.suppressed,
-        baseline.total(),
     );
-
     if !report.clean() && deny {
         eprintln!(
-            "pq-lint: FAIL (--deny): fix the findings above, add a justified \
-                   `// pq-lint: allow(<rule>) -- <reason>`, or pay down stale baseline debt"
+            "pq-lint: FAIL (--deny): fix the findings above or add a justified \
+             `// pq-lint: allow(<rule>) -- <reason>`"
         );
         return 1;
     }
     0
-}
-
-fn print_help() {
-    println!(
-        "pq-lint — workspace invariant checker (determinism / panic-safety / observability)\n\
-         \n\
-         USAGE: pq-lint [--deny] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]\n\
-         \u{20}               [--profile FOLDED]\n\
-         \n\
-         --deny            exit 1 on new findings or stale baseline entries (the CI gate)\n\
-         --write-baseline  regenerate the grandfathered-findings baseline\n\
-         --rules           print the rule registry\n\
-         --root DIR        workspace root to lint (default .)\n\
-         --baseline FILE   baseline path (default <root>/pq-lint.baseline)\n\
-         --profile FOLDED  rank hot-path (H) findings, grandfathered debt included, by\n\
-         \u{20}                 measured self-time from a pq-prof collapsed-stack file\n\
-         \n\
-         Suppress a finding with `// pq-lint: allow(<rule>) -- <reason>` on the same\n\
-         line or the line above; the reason is mandatory. Anchor the H family with\n\
-         `// pq-lint: hot-root[(<frame>)] -- <reason>` above a fn."
-    );
 }

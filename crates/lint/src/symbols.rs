@@ -1,57 +1,53 @@
 //! Workspace symbol table: every function definition across the
-//! linted file set, plus the cross-file facts the semantic rule
-//! families consume — hash-container aliases, hash-returning
-//! signatures, and the declared name registries (`KNOWN_VARS`,
+//! linted file set, plus the declared name registries (`KNOWN_VARS`,
 //! `METRIC_NAMES`, `SPAN_NAMES`) parsed straight out of the linted
 //! source so fixtures and the real workspace use one mechanism.
 
 use crate::ast::FileAst;
+use crate::lexer::Tok;
+use crate::rules::DIGEST_CRATES;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where the A-family reads its environment-variable registry from.
+/// Where `env-name` reads its environment-variable registry from.
 pub const ENV_REGISTRY_FILE: &str = "crates/obs/src/env.rs";
 
-/// Where the A-family reads its metric/span name registries from.
+/// Where `name-registry` reads its metric/span name registries from.
 pub const NAME_REGISTRY_FILE: &str = "crates/obs/src/names.rs";
 
-/// One file's contribution to the workspace.
+/// One lexed and parsed file: everything the rules need to know
+/// about it.
 #[derive(Clone, Debug)]
 pub struct FileEntry {
     /// Workspace-relative path with `/` separators.
     pub rel_path: String,
-    /// `crates/<name>/…` → `Some(name)`.
+    /// `crates/<name>/…` → `Some(name)`; the root crate → `None`.
     pub crate_name: Option<String>,
+    /// Code tokens (comments excluded).
+    pub tokens: Vec<Tok>,
     /// Parsed structure.
     pub ast: FileAst,
-    /// Whole file is test context.
+    /// Whole file is test/bench/example context (path-based).
     pub is_test: bool,
-    /// Line of the first `#[cfg(test)]`.
+    /// Line of the first `#[cfg(test)]`; everything at or after it is
+    /// treated as test context (the repo convention keeps test
+    /// modules at the bottom of each file).
     pub test_from_line: Option<u32>,
+    /// Crate-root file (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`).
+    pub is_crate_root: bool,
 }
 
 impl FileEntry {
-    fn in_test(&self, line: u32) -> bool {
+    /// Whether `line` is test context.
+    pub fn in_test(&self, line: u32) -> bool {
         self.is_test || self.test_from_line.is_some_and(|t| line >= t)
     }
-}
 
-/// A cross-file alias of a hash container.
-#[derive(Clone, Debug)]
-pub struct HashAlias {
-    /// Workspace-relative path of the declaration.
-    pub decl_path: String,
-    /// Declaration line.
-    pub decl_line: u32,
-}
-
-/// One function symbol: `(file index, index into that file's
-/// `FileAst::fns`)`.
-#[derive(Clone, Copy, Debug)]
-pub struct FnSym {
-    /// Index into [`Workspace::files`].
-    pub file: usize,
-    /// Index into that file's `ast.fns`.
-    pub ast_idx: usize,
+    /// Whether the file belongs to a crate that feeds the study digest.
+    pub fn in_digest_crate(&self) -> bool {
+        self.crate_name
+            .as_deref()
+            .is_some_and(|c| DIGEST_CRATES.contains(&c))
+    }
 }
 
 /// The cross-file view the semantic rules run against. Built once per
@@ -60,17 +56,13 @@ pub struct FnSym {
 pub struct Workspace {
     /// All parsed files, in walk order.
     pub files: Vec<FileEntry>,
-    /// Non-test function symbols across the workspace.
-    pub fns: Vec<FnSym>,
+    /// Non-test function symbols across the workspace, as (file
+    /// index, index into that file's `ast.fns`).
+    pub fns: Vec<(usize, usize)>,
     /// Function name → symbol ids (for call resolution).
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// `(file, ast_idx)` → symbol id.
     pub fn_ids: BTreeMap<(usize, usize), usize>,
-    /// Alias name → declaration, for aliases of `HashMap`/`HashSet`.
-    pub hash_aliases: BTreeMap<String, HashAlias>,
-    /// Symbol ids of functions whose return type mentions a hash
-    /// container.
-    pub hash_returning: BTreeSet<usize>,
     /// Declared environment variable names (`KNOWN_VARS` in
     /// [`ENV_REGISTRY_FILE`]); empty set disables the `env-name` rule.
     pub known_env_vars: BTreeSet<String>,
@@ -105,25 +97,9 @@ impl Workspace {
                     continue;
                 }
                 let id = ws.fns.len();
-                ws.fns.push(FnSym {
-                    file: fi,
-                    ast_idx: ai,
-                });
+                ws.fns.push((fi, ai));
                 ws.by_name.entry(f.name.clone()).or_default().push(id);
                 ws.fn_ids.insert((fi, ai), id);
-                if f.ret.contains("HashMap") || f.ret.contains("HashSet") {
-                    ws.hash_returning.insert(id);
-                }
-            }
-            for a in &file.ast.aliases {
-                if a.aliases_hash {
-                    ws.hash_aliases
-                        .entry(a.name.clone())
-                        .or_insert_with(|| HashAlias {
-                            decl_path: file.rel_path.clone(),
-                            decl_line: a.line,
-                        });
-                }
             }
             for set in &file.ast.const_sets {
                 let dst = match (file.rel_path.as_str(), set.name.as_str()) {
@@ -140,18 +116,18 @@ impl Workspace {
 
     /// The `FnDef` behind a symbol id.
     pub fn def(&self, id: usize) -> &crate::ast::FnDef {
-        let sym = &self.fns[id];
-        &self.files[sym.file].ast.fns[sym.ast_idx]
+        let (file, ast_idx) = self.fns[id];
+        &self.files[file].ast.fns[ast_idx]
     }
 
     /// Workspace-relative path of a symbol's file.
     pub fn path_of(&self, id: usize) -> &str {
-        &self.files[self.fns[id].file].rel_path
+        &self.files[self.fns[id].0].rel_path
     }
 
     /// Crate of a symbol's file.
     pub fn crate_of(&self, id: usize) -> Option<&str> {
-        self.files[self.fns[id].file].crate_name.as_deref()
+        self.files[self.fns[id].0].crate_name.as_deref()
     }
 
     /// Whether a call from crate `from` can reach a function defined
@@ -160,18 +136,12 @@ impl Workspace {
     /// outside `crates/`, or a crate without a parsed manifest all
     /// allow the edge.
     pub fn may_call(&self, from: Option<&str>, to: Option<&str>) -> bool {
-        if self.crate_deps.is_empty() {
-            return true;
-        }
-        let (Some(from), Some(to)) = (from, to) else {
-            return true;
-        };
-        if from == to {
-            return true;
-        }
-        match self.crate_deps.get(from) {
-            Some(deps) => deps.contains(to),
-            None => true,
+        match (from, to) {
+            (Some(from), Some(to)) if from != to => self
+                .crate_deps
+                .get(from)
+                .is_none_or(|deps| deps.contains(to)),
+            _ => true,
         }
     }
 
@@ -190,23 +160,9 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::parse;
-    use crate::lexer::lex;
-    use crate::rules::first_cfg_test_line;
 
     fn entry(rel: &str, src: &str) -> FileEntry {
-        let (toks, _) = lex(src);
-        let test_from_line = first_cfg_test_line(&toks);
-        FileEntry {
-            rel_path: rel.to_string(),
-            crate_name: rel
-                .strip_prefix("crates/")
-                .and_then(|r| r.split('/').next())
-                .map(String::from),
-            ast: parse(&toks, &[]),
-            is_test: false,
-            test_from_line,
-        }
+        crate::engine::parse_file(rel, src).0
     }
 
     #[test]
@@ -217,24 +173,6 @@ mod tests {
         )]);
         assert!(ws.by_name.contains_key("real"));
         assert!(!ws.by_name.contains_key("helper"));
-    }
-
-    #[test]
-    fn hash_facts_cross_files() {
-        let ws = Workspace::build(vec![
-            entry(
-                "crates/stats/src/idx.rs",
-                "type FastMap = HashMap<u32, u32>;\n\
-                 pub fn make_index() -> HashMap<u32, u32> { HashMap::new() }\n\
-                 pub fn make_list() -> Vec<u32> { Vec::new() }",
-            ),
-            entry("crates/core/src/y.rs", "fn f() {}"),
-        ]);
-        assert!(ws.hash_aliases.contains_key("FastMap"));
-        let mk = ws.by_name["make_index"][0];
-        assert!(ws.hash_returning.contains(&mk));
-        let ml = ws.by_name["make_list"][0];
-        assert!(!ws.hash_returning.contains(&ml));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Fixture: the pq-par fan-out whose chunk placement makes the float
-//! accumulation order in `flows.rs` digest-relevant — the D2
-//! `float-flow` rule sees the cross-file edge the token-level
-//! `float-sum` rule cannot.
+//! accumulation order in `flows.rs` digest-relevant — `float-flow`
+//! follows the call into another crate's file.
 
 pub fn sweep(cells: &[f64]) -> f64 {
     let parts = pq_par::par_map(cells, |c| *c);

@@ -1,27 +1,6 @@
-//! Fixture: D2 flows into a digest crate — an aliased hash container
-//! (`Counts`), a call into a hash-returning helper (`histogram`), and
-//! a float `.sum()` reachable from the pq-par fan-out in
-//! `crates/bench/src/sweep.rs` — each with a validly suppressed twin.
-
-pub fn tally(c: &Counts) -> usize {
-    c.len()
-}
-
-// pq-lint: allow(hash-flow) -- fixture: iterated in sorted key order downstream
-pub fn tally_ok(c: &Counts) -> usize {
-    c.len()
-}
-
-pub fn merge(vals: &[u32]) -> usize {
-    let m = histogram(vals);
-    m.len()
-}
-
-pub fn merge_ok(vals: &[u32]) -> usize {
-    // pq-lint: allow(hash-flow) -- fixture: keys sorted before any iteration
-    let m = histogram(vals);
-    m.len()
-}
+//! Fixture: a float `.sum()` reachable from the pq-par fan-out in
+//! `crates/bench/src/sweep.rs` — the cross-file edge only the call
+//! graph can see — with a validly suppressed twin.
 
 pub fn average(vals: &[f64]) -> f64 {
     let total: f64 = vals.iter().sum();

@@ -1,4 +1,4 @@
-//! Fixture: A-family violations — an env knob missing from
+//! Fixture: registry violations — an env knob missing from
 //! `KNOWN_VARS` and a span frame missing from `SPAN_NAMES` — each with
 //! a validly suppressed twin, plus a prefix-covered dynamic frame.
 

@@ -1,10 +1,10 @@
-//! Fixture: the same violation shapes, every one validly suppressed
-//! (so the engine reports zero findings and three suppressions).
+//! Fixture: the float-flow shapes, every one validly suppressed (so
+//! the engine reports zero findings and two suppressions).
 
 pub fn f(v: &[f64]) -> f64 {
-    // pq-lint: allow(rng) -- fixture derivation point
-    let rng = SimRng::new(7);
-    // pq-lint: allow(index, panic) -- fixture: v is non-empty by contract
-    let a = v[0] + v.get(1).unwrap();
-    a + rng.next_f64()
+    pq_par::par_map(v, |x| *x);
+    // pq-lint: allow(float-flow) -- fixture: partials combined in index order
+    let a: f64 = v.iter().sum();
+    let b: f64 = v.iter().sum(); // pq-lint: allow(all) -- fixture: ditto
+    a + b
 }

@@ -1,5 +1,5 @@
 //! Fixture env funnel: declares the `KNOWN_VARS` registry the
-//! A-family `env-name` rule checks literal reads against. Its mere
+//! `env-name` rule checks literal reads against. Its mere
 //! presence (at the registry path) activates the rule for the whole
 //! fixture workspace.
 

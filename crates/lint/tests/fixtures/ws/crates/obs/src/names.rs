@@ -1,5 +1,5 @@
 //! Fixture name registry: the `METRIC_NAMES` / `SPAN_NAMES` sets the
-//! A-family `name-registry` rule enforces. `link:` (trailing colon) is
+//! `name-registry` rule enforces. `link:` (trailing colon) is
 //! a dynamic-label prefix covering `link:uplink` etc.
 
 pub const METRIC_NAMES: &[&str] = &["core.good_metric", "web.pageloads"];

@@ -1,30 +1,26 @@
-//! The self-test: the workspace must lint clean modulo its committed
-//! baseline. This is the same verdict `cargo run -p pq-lint -- --deny`
-//! gates CI on, so a violation fails `cargo test` too — you cannot
-//! merge code that the gate would reject.
+//! The self-test: the workspace must lint clean. This is the same
+//! verdict `cargo run -p pq-lint -- --deny` gates CI on, so a
+//! violation fails `cargo test` too — you cannot merge code that the
+//! gate would reject. (`tests/clippy.rs` does the same for clippy.)
 
-use pq_lint::{engine, Baseline};
+use pq_lint::engine;
 use std::path::Path;
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline = Baseline::load(&root.join("pq-lint.baseline")).expect("baseline parses");
-    let report = engine::run(&root, &baseline).expect("workspace walk");
+    let report = engine::run(&root).expect("workspace walk");
     assert!(
         report.files > 50,
         "walk found too few files: {}",
         report.files
     );
-    let rendered: Vec<String> = report.new.iter().map(|f| f.render()).collect();
+    let rendered: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
     assert!(
         report.clean(),
-        "pq-lint is not clean: {} new finding(s), {} stale entr(ies)\n{}\nstale: {:?}\n\
-         fix the findings, add a justified suppression, or (for stale entries) run \
-         `cargo run -p pq-lint -- --write-baseline`",
-        report.new.len(),
-        report.stale.len(),
+        "pq-lint is not clean: {} finding(s)\n{}\nfix the findings or add a justified \
+         `// pq-lint: allow(<rule>) -- <reason>`",
+        report.findings.len(),
         rendered.join("\n"),
-        report.stale,
     );
 }

@@ -31,7 +31,6 @@ use std::sync::Mutex;
 /// listed; they go through [`var_os`] at sanctioned call sites.
 pub const KNOWN_VARS: &[&str] = &[
     "CRITERION_SAMPLE_MS",
-    "PQ_BENCH_TOLERANCE",
     "PQ_CELL_TIMEOUT_MS",
     "PQ_EDGE_BB_MBPS",
     "PQ_EDGE_IDLE_MS",
@@ -40,7 +39,6 @@ pub const KNOWN_VARS: &[&str] = &[
     "PQ_EDGE_REPLICAS",
     "PQ_EDGE_RTT_SPLIT",
     "PQ_FAULTS",
-    "PQ_FIXTURE",
     "PQ_JOBS",
     "PQ_JOURNAL",
     "PQ_PROF",
@@ -65,7 +63,10 @@ static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 ///
 /// Returns `None` when the variable is unset **or** not valid Unicode
 /// (the latter warns — a mangled knob must not be silently ignored).
-// pq-lint: allow(env) -- this module IS the sanctioned funnel
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this module is the sanctioned configuration funnel"
+)]
 pub fn var(name: &str) -> Option<String> {
     match std::env::var(name) {
         Ok(v) => Some(v),
@@ -84,7 +85,10 @@ pub fn var(name: &str) -> Option<String> {
 
 /// Read `name` as an OS string (for paths, which need not be Unicode).
 /// `None` when unset.
-// pq-lint: allow(env) -- this module IS the sanctioned funnel
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this module is the sanctioned configuration funnel"
+)]
 pub fn var_os(name: &str) -> Option<std::ffi::OsString> {
     std::env::var_os(name)
 }

@@ -1,13 +1,14 @@
-//! The declared name registries (`pq-lint` rules `name-registry`,
+//! The declared name registries (`pq-lint` rule `name-registry`;
 //! `env-name` reads its sibling in [`crate::env`]).
 //!
 //! Dashboards, the perf gate and the profile tooling all address
 //! series and frames *by name*; a typo'd literal silently creates a
 //! parallel series nobody reads. These constants make the name sets
-//! explicit: `pq-lint`'s A-family parses them straight out of this
-//! file and rejects any metric/span literal the registry does not
-//! know. Adding a metric is a two-line diff — the call site and the
-//! registry entry — and the lint keeps them in sync forever.
+//! explicit: `pq-lint`'s `name-registry` rule parses them straight out
+//! of this file and rejects any metric/span literal the registry does
+//! not know, and the tests below hold every entry to its naming
+//! convention. Adding a metric is a two-line diff — the call site and
+//! the registry entry — and the lint keeps them in sync forever.
 //!
 //! Keep both lists sorted.
 
@@ -62,8 +63,7 @@ pub const METRIC_NAMES: &[&str] = &[
 /// Every span/tick frame name in collapsed-stack output. Entries with
 /// a trailing `:` are dynamic-label prefixes (`link:` covers
 /// `link:uplink`, `load:` covers `load:QUIC`, …); phase frames opened
-/// by the bench harness are listed so `hot-root(<frame>)` hints and
-/// `--profile` ranking resolve against the same registry.
+/// by the bench harness are listed too.
 pub const SPAN_NAMES: &[&str] = &[
     "ablation",
     "agreement",
@@ -116,6 +116,10 @@ mod tests {
         }
     }
 
+    /// `crate.noun_verb`: at least two dotted segments, each
+    /// `[a-z][a-z0-9_]*` (so `prof.*` names stay greppable too).
+    /// `pq-lint`'s `name-registry` rule holds every metric literal to
+    /// this list, so the convention holds for every emitted name.
     #[test]
     fn metric_names_follow_the_dotted_convention() {
         for name in METRIC_NAMES {
@@ -123,18 +127,28 @@ mod tests {
             assert!(segs.len() >= 2, "{name} needs at least two dotted segments");
             for s in segs {
                 assert!(
-                    s.chars().next().is_some_and(|c| c.is_ascii_lowercase()),
-                    "{name}: segment {s:?} must start lowercase"
+                    s.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                        && s.chars()
+                            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
+                    "{name}: segment {s:?} must match [a-z][a-z0-9_]*"
                 );
             }
         }
     }
 
+    /// A frame name survives collapsed-stack output (`a;b;c <count>`)
+    /// only without spaces and `;`; the convention is a lowercase start,
+    /// then `[a-z0-9_:.-]`.
     #[test]
     fn span_names_are_folded_safe() {
         for name in SPAN_NAMES {
             assert!(
-                !name.contains(' ') && !name.contains(';'),
+                name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                    && name.chars().all(|c| {
+                        c.is_ascii_lowercase()
+                            || c.is_ascii_digit()
+                            || matches!(c, '_' | ':' | '.' | '-')
+                    }),
                 "{name:?} would corrupt collapsed-stack lines"
             );
         }

@@ -207,6 +207,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 262_144;
 static TRACER: OnceLock<Tracer> = OnceLock::new();
 
 /// The global tracer (created lazily, disabled until initialised).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "trace timestamps are wall-clock and never feed simulated data"
+)]
 pub fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         level: AtomicU8::new(Level::Off as u8),

@@ -35,7 +35,6 @@ fn env_timeout() -> Option<u64> {
             Err(_) => {
                 pq_obs::tracer().warn(
                     "par",
-                    // pq-lint: allow(hot-alloc) -- inside a OnceLock init: runs at most once per process, and only on a bad knob
                     format!(
                         "unparsable PQ_CELL_TIMEOUT_MS={raw:?} (want milliseconds >= 1, \
                          or 0 to disable); the cell watchdog stays off"
@@ -73,9 +72,12 @@ thread_local! {
 
 /// Stamp the start of a task on this thread. Called by the pool for
 /// every item, on both the serial fast path and worker threads.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "deadline enforcement is wall-clock by definition; gated behind PQ_CELL_TIMEOUT_MS and never feeds simulated data"
+)]
 pub(crate) fn task_started() {
     if cell_timeout_ms().is_some() {
-        // pq-lint: allow(time) -- deadline enforcement is wall-clock by definition; gated behind PQ_CELL_TIMEOUT_MS and never feeds simulated data
         TASK_START.with(|t| t.set(Some(Instant::now())));
     }
 }

@@ -111,6 +111,10 @@ struct Shared<R> {
 }
 
 impl<R> Shared<R> {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "watchdog heartbeat epoch; only armed when PQ_CELL_TIMEOUT_MS is set and never feeds simulated data"
+    )]
     fn new(workers: usize, chunks: Vec<Chunk>) -> Shared<R> {
         let mut deques: Vec<Mutex<VecDeque<Chunk>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -127,7 +131,6 @@ impl<R> Shared<R> {
             }
         }
         let watchdog = crate::deadline::cell_timeout_ms().map(|_| {
-            // pq-lint: allow(time) -- watchdog heartbeat epoch; only armed when PQ_CELL_TIMEOUT_MS is set and never feeds simulated data
             let epoch = Instant::now();
             (epoch, (0..workers).map(|_| AtomicU64::new(0)).collect())
         });
@@ -213,7 +216,6 @@ impl<R> Shared<R> {
 /// `pq-prof` span path, so worker time folds under the phase that
 /// launched the batch (queue-wait shows up as `par:wait`, chunk
 /// execution as `par:run`).
-// pq-lint: hot-root(par:worker) -- the steal-loop every parallel cell executes inside
 fn worker_loop<T, R>(
     id: usize,
     shared: &Shared<R>,
@@ -253,7 +255,6 @@ fn worker_loop<T, R>(
                     let _run_span = pq_prof::span("par:run");
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         let slice = &items[chunk.start..chunk.end];
-                        // pq-lint: allow(hot-loop-alloc) -- the chunk's owned output, handed to result assembly; one alloc amortized over chunk.len() tasks
                         let mut out = Vec::with_capacity(chunk.len());
                         for (i, item) in (chunk.start..chunk.end).zip(slice) {
                             crate::deadline::task_started();
@@ -275,13 +276,11 @@ fn worker_loop<T, R>(
                                 tracer.span(
                                     Level::Debug,
                                     "par",
-                                    // pq-lint: allow(hot-loop-alloc) -- behind the enabled(Debug) gate; off in every measured configuration
                                     format!("chunk {}..{}", chunk.start, chunk.end),
                                     pid,
                                     0,
                                     t0,
                                     tracer.wall_ns(),
-                                    // pq-lint: allow(hot-loop-alloc) -- behind the enabled(Debug) gate; off in every measured configuration
                                     vec![
                                         ("items", ArgValue::U64(chunk.len() as u64)),
                                         ("stolen", ArgValue::U64(u64::from(stolen))),

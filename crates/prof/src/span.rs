@@ -70,6 +70,10 @@ pub struct Span {
     armed: bool,
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the profiler measures wall time; it never feeds the simulation"
+)]
 fn push_frame(path: String) -> Span {
     TPROF.with(|t| {
         t.borrow_mut().stack.push(Frame {
@@ -83,8 +87,8 @@ fn push_frame(path: String) -> Span {
 
 /// Open a span named `name` nested under the thread's current span
 /// path. Names should be short, lowercase and free of `;`/space (the
-/// collapsed-stack separators) — the `prof-name` lint rule enforces
-/// this for literals.
+/// collapsed-stack separators) — pq-lint's `name-registry` rule holds
+/// literals to `SPAN_NAMES` in `pq-obs`, whose tests enforce this.
 #[inline]
 pub fn span(name: &str) -> Span {
     if !spans_enabled() {

@@ -133,7 +133,6 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
-    // pq-lint: hot-root(experiment) -- every simulated event passes through this heap pop
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
         self.now = entry.time;

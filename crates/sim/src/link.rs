@@ -218,7 +218,6 @@ impl<P> Link<P> {
     }
 
     /// Offer a packet to the link at time `now`.
-    // pq-lint: hot-root(link:) -- called once per packet offered to either direction of every emulated link
     pub fn push(&mut self, now: SimTime, pkt: Packet<P>) -> PushOutcome {
         self.stats.offered += 1;
         if self.in_flight.is_none() {
@@ -254,13 +253,15 @@ impl<P> Link<P> {
 
     /// The owner calls this at the instant returned by
     /// [`PushOutcome::StartedTx`] / [`TxDone::next_tx_done`].
-    // pq-lint: hot-root(link:) -- fires once per serialized packet; the loss draw and delivery scheduling live here
+    #[expect(
+        clippy::expect_used,
+        reason = "`in_flight` is set by the StartedTx that scheduled this callback, and the queue fires one tx-done per started tx"
+    )]
     pub fn on_tx_done(&mut self, now: SimTime) -> TxDone<P> {
         let _link_span = pq_prof::span_dyn(|| format!("link:{}", self.obs_label));
         let pkt = self
             .in_flight
             .take()
-            // pq-lint: allow(panic) -- in_flight is set by the StartedTx that scheduled this callback; the event queue fires exactly one tx-done per started tx
             .expect("tx-done callback with no packet in flight");
         self.stats.busy_time += now - self.tx_started_at;
 
@@ -344,6 +345,11 @@ impl<P> Drop for Link<P> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::unreachable,
+    reason = "tests build links with fixed seeds and match on the one outcome they set up"
+)]
 mod tests {
     use super::*;
     use crate::packet::ConnId;

@@ -8,6 +8,11 @@
 //! per-participant noise, website generation, …) each get their own
 //! stream and adding draws to one subsystem never perturbs another.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "this module defines the seed-derivation machinery"
+)]
+
 /// SplitMix64 step; used for seeding and stream derivation.
 fn splitmix64(state: &mut u64) {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -177,6 +182,10 @@ impl SimRng {
     }
 
     /// Pick a uniformly random element.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`below(len)` returns a value below `len`"
+    )]
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
             None

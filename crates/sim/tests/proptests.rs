@@ -1,5 +1,10 @@
 //! Property-based tests for the simulation substrate.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
+
 use pq_sim::{
     ConnId, DropTailQueue, EventQueue, Link, LinkConfig, Packet, PushOutcome, SimDuration, SimRng,
     SimTime,

@@ -41,6 +41,10 @@ pub fn jarque_bera(xs: &[f64]) -> Option<JarqueBera> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests seed their own RNG streams with fixed literals"
+)]
 mod tests {
     use super::*;
     use pq_sim::SimRng;

@@ -146,6 +146,10 @@ impl Bbr {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`cycle_index` is a constant below `CYCLE.len()`"
+    )]
     fn enter_probe_bw(&mut self, now: SimTime) {
         self.state = State::ProbeBw;
         self.cwnd_gain = 2.0;
@@ -156,6 +160,10 @@ impl Bbr {
         self.cycle_stamp = now;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`cycle_index` is kept modulo `CYCLE.len()`"
+    )]
     fn advance_cycle(&mut self, now: SimTime) {
         let rtt = self.min_rtt.unwrap_or(SimDuration::from_millis(100));
         if now.saturating_since(self.cycle_stamp) >= rtt {

@@ -242,6 +242,10 @@ impl QuicEndpoint {
 
     /// Packetize and emit everything congestion control and pacing
     /// allow right now.
+    #[expect(
+        clippy::unreachable,
+        reason = "`hs_queue` only ever holds Chlo/Shlo; stream data goes through `send_streams`"
+    )]
     fn try_send(&mut self, now: SimTime, conn: ConnId, out: &mut Vec<Output>) {
         self.pacing_at = None;
         self.update_pacing_rate();
@@ -299,7 +303,6 @@ impl QuicEndpoint {
                         part: *part,
                         of: *of,
                     }),
-                    // pq-lint: allow(panic) -- hs_queue only ever holds Chlo/Shlo; stream data goes through send_streams
                     SentFrame::Stream { .. } => unreachable!(),
                 }
                 sent_frames.push(f);
@@ -1047,6 +1050,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::unreachable,
+        reason = "the test sets up exactly the outcome it matches"
+    )]
     fn zero_rtt_bundles_request_with_first_flight() {
         let net = NetworkKind::Lte.config();
         let mut conn = Connection::open(

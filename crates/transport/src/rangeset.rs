@@ -66,6 +66,10 @@ impl RangeSet {
     /// Insert `[start, end)`, merging with any overlapping or adjacent
     /// ranges. Returns the number of *newly covered* values (0 when the
     /// interval was already fully present).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is guarded by `< self.ranges.len()` or `i > 0` in the same expression"
+    )]
     pub fn insert(&mut self, start: u64, end: u64) -> u64 {
         if end <= start {
             return 0;

@@ -271,6 +271,10 @@ impl TcpSender {
     }
 
     /// Process an ACK for this direction's data.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`start` was collected from `inflight`'s own keys, and only the entry just read is removed"
+    )]
     fn on_ack(
         &mut self,
         now: SimTime,

@@ -9,7 +9,7 @@ use pq_sim::{
     ConnId, Direction, EventQueue, Link, NetworkConfig, Packet, PushOutcome, SimRng, SimTime,
     TraceKind,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug)]
 pub enum Ev {
@@ -28,12 +28,12 @@ pub struct MiniWorld {
     /// Per-stream response plan: bytes the server writes when a
     /// request stream completes (TCP: keyed by cumulative request
     /// bytes thresholds).
-    pub responses: HashMap<u64, u64>,
+    pub responses: BTreeMap<u64, u64>,
     /// Observed client-side progress per stream.
-    pub client_progress: HashMap<u64, (u64, bool, SimTime)>,
+    pub client_progress: BTreeMap<u64, (u64, bool, SimTime)>,
     pub handshake_done_at: Option<SimTime>,
     pub retransmit_traces: u64,
-    served: HashMap<u64, bool>,
+    served: BTreeMap<u64, bool>,
     /// For TCP: request sizes in arrival order on the byte stream.
     tcp_requests: Vec<(u64, u64)>, // (cumulative end, stream key)
     tcp_served_upto: usize,
@@ -44,6 +44,10 @@ impl MiniWorld {
         Self::new_with_config(protocol.config(net), net, seed, now)
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "test harness seeded by the calling test"
+    )]
     pub fn new_with_config(cfg: StackConfig, net: &NetworkConfig, seed: u64, now: SimTime) -> Self {
         let rng = SimRng::new(seed);
         let mut world = MiniWorld {
@@ -52,11 +56,11 @@ impl MiniWorld {
             down: Link::new(net.downlink(), rng.fork("down-loss")),
             conn: Connection::open(ConnId(1), cfg, now),
             wake_version: 0,
-            responses: HashMap::new(),
-            client_progress: HashMap::new(),
+            responses: BTreeMap::new(),
+            client_progress: BTreeMap::new(),
             handshake_done_at: None,
             retransmit_traces: 0,
-            served: HashMap::new(),
+            served: BTreeMap::new(),
             tcp_requests: Vec::new(),
             tcp_served_upto: 0,
         };

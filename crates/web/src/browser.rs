@@ -193,7 +193,7 @@ struct Loader<'a> {
     faults: Option<pq_fault::LoadFaults>,
     /// Reused scratch for newly-released children: `discover` needs
     /// `&mut self`, so the candidate list is staged here instead of a
-    /// fresh per-event `Vec` (the former top `hot-alloc` finding).
+    /// fresh `Vec` per progress event.
     kid_buf: Vec<ObjectId>,
 }
 
@@ -237,6 +237,10 @@ pub fn try_load_page(
 
 /// Load with an explicit stack configuration — the knob-by-knob API
 /// behind tuning ablations (e.g. "stock TCP + IW32 only").
+#[allow(
+    clippy::disallowed_methods,
+    reason = "load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it"
+)]
 pub fn load_page_with_config(
     site: &Website,
     net: &NetworkConfig,
@@ -245,7 +249,6 @@ pub fn load_page_with_config(
     opts: &LoadOptions,
 ) -> PageLoadResult {
     let protocol = cfg.protocol;
-    // pq-lint: allow(rng) -- load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it
     let rng = SimRng::new(seed);
     let n = site.objects.len();
 
@@ -368,6 +371,10 @@ fn ev_name(ev: &Ev) -> &'static str {
 }
 
 impl<'a> Loader<'a> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ObjectId`s are positions in `site.objects`"
+    )]
     fn obj(&self, id: ObjectId) -> &'a WebObject {
         &self.site.objects[id.0 as usize]
     }
@@ -449,12 +456,10 @@ impl<'a> Loader<'a> {
                 pq_obs::tracer().instant(
                     Level::Info,
                     "fault",
-                    // pq-lint: allow(hot-alloc) -- fault-injection path behind the enabled() gate; never taken on clean runs
                     what.to_string(),
                     pid,
                     TID_PAGE,
                     now.as_nanos(),
-                    // pq-lint: allow(hot-alloc) -- fault-injection path behind the enabled() gate; never taken on clean runs
                     vec![("id", ArgValue::U64(detail))],
                 );
             }
@@ -577,6 +582,10 @@ impl<'a> Loader<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-object arrays have one slot per object of `site`, and `ObjectId`s are positions in it"
+    )]
     fn route_output(&mut self, now: SimTime, r: ConnRef, out: Output) {
         match out {
             Output::Send(dir, pkt) => {
@@ -730,7 +739,6 @@ impl<'a> Loader<'a> {
         pq_obs::tracer().name_track(
             pid,
             TID_OBJ_BASE + id.0,
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             &format!("obj {} ({:?})", id.0, o.kind),
         );
     }
@@ -751,13 +759,11 @@ impl<'a> Loader<'a> {
         pq_obs::tracer().span(
             Level::Info,
             "web",
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             format!("{:?} {}", o.kind, o.size),
             pid,
             TID_OBJ_BASE + id.0,
             start.as_nanos(),
             now.as_nanos(),
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             vec![
                 ("origin", ArgValue::U64(u64::from(o.origin.0))),
                 ("size", ArgValue::U64(o.size)),
@@ -789,6 +795,10 @@ impl<'a> Loader<'a> {
     }
 
     /// The client has `got` of the object's expected stream bytes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-object arrays have one slot per object of `site`, and `ObjectId`s are positions in it"
+    )]
     fn object_progress(&mut self, now: SimTime, id: ObjectId, got: u64) {
         let idx = id.0 as usize;
         if self.done_at[idx].is_some() {
@@ -827,6 +837,10 @@ impl<'a> Loader<'a> {
     /// Parsing/decoding of a delivered object finished: the object is
     /// now *done* — it paints fully, releases `discovery_at = 1.0`
     /// children, and counts towards onload.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-object arrays have one slot per object of `site`, and `ObjectId`s are positions in it"
+    )]
     fn object_processed(&mut self, now: SimTime, id: ObjectId) {
         let idx = id.0 as usize;
         match self.done_at.get_mut(idx) {
@@ -941,7 +955,6 @@ impl<'a> Loader<'a> {
         mark("PLT", Some(plt), metrics.plt_ms);
     }
 
-    // pq-lint: hot-root(experiment) -- the per-event dispatch loop; every simulated packet, wake and layout event funnels through here
     fn run(mut self) -> PageLoadResult {
         let horizon = SimTime::ZERO + self.opts.horizon;
         let max_events = 200_000_000u64;

@@ -85,6 +85,10 @@ impl H2Mux {
 
     /// The server's request stream advanced; returns objects whose
     /// requests are now fully received (the server can start thinking).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the `while` guard keeps `served` below `req_ends.len()`"
+    )]
     pub fn on_server_delivered(&mut self, delivered: u64) -> Vec<ObjectId> {
         let mut done = Vec::new();
         while self.served < self.req_ends.len() {
@@ -156,6 +160,10 @@ impl H2Mux {
 
     /// The client's response stream advanced to `delivered`; attribute
     /// the new bytes to objects.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the `while` guard keeps `span_cursor` below `spans.len()`"
+    )]
     pub fn on_client_delivered(&mut self, delivered: u64) -> Vec<ResponseProgress> {
         let mut out: Vec<ResponseProgress> = Vec::new();
         while self.read_pos < delivered && self.span_cursor < self.spans.len() {

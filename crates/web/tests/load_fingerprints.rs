@@ -75,6 +75,10 @@ fn fingerprint(r: &PageLoadResult) -> u64 {
 }
 
 /// Every (label, fingerprint) of the pinned matrix, in a fixed order.
+#[expect(
+    clippy::expect_used,
+    reason = "the pinned site and fault spec are constants"
+)]
 fn current_table() -> Vec<(String, u64)> {
     let site = pq_web::site(SITE).expect("corpus site");
     let plan = Arc::new(FaultPlan::parse(FAULTS).expect("valid fault spec"));
