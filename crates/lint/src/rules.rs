@@ -339,6 +339,57 @@ mod tests {
         assert!(rules_hit("pub mod x;", "crates/sim/src/link.rs").is_empty());
     }
 
+    /// Rules hit by `src` at `path`, linted next to the workspace's
+    /// real name registry (whose entries pq-obs's tests hold to the
+    /// naming conventions).
+    fn registry_hits(src: &str, path: &str) -> Vec<&'static str> {
+        let registry = include_str!("../../obs/src/names.rs");
+        let (file, _) = crate::engine::parse_file(path, src);
+        let (names, _) = crate::engine::parse_file(crate::symbols::NAME_REGISTRY_FILE, registry);
+        let ws = Workspace::build(vec![file, names]);
+        check(&ws, 0, &CallGraph::build(&ws))
+            .into_iter()
+            .map(|f| f.rule)
+            .collect()
+    }
+
+    #[test]
+    fn metric_names_must_be_dotted_lowercase() {
+        let bad = "reg.counter_add(\"Pageloads\", 1); reg.observe(\"plt\", 1.0);";
+        assert_eq!(
+            registry_hits(bad, "crates/stats/src/x.rs"),
+            ["name-registry", "name-registry"]
+        );
+        let good = "reg.counter_add(\"web.pageloads\", 1); reg.observe(\"web.plt_ms\", 1.0);";
+        assert!(registry_hits(good, "crates/stats/src/x.rs").is_empty());
+    }
+
+    #[test]
+    fn prof_frame_names_must_be_folded_safe() {
+        let bad = "let _s = pq_prof::span(\"RTO retransmit\"); pq_prof::tick(\"has;semi\");";
+        assert_eq!(
+            registry_hits(bad, "crates/transport/src/x.rs"),
+            ["name-registry", "name-registry"]
+        );
+        let good =
+            "let _s = pq_prof::span(\"transport:rto-retransmit\"); pq_prof::tick(\"quic:rto\");";
+        assert!(registry_hits(good, "crates/transport/src/x.rs").is_empty());
+        // Formatted names are checked by their literal prefix (`link:`).
+        let dy = "let _s = pq_prof::span_dyn(|| format!(\"link:{label}\"));";
+        assert!(registry_hits(dy, "crates/sim/src/x.rs").is_empty());
+    }
+
+    #[test]
+    fn prof_metric_literals_follow_the_dotted_convention() {
+        // Formatted registry names are checked by the literal before
+        // their `{label=...}` part.
+        let bad = "reg.counter_add(&format!(\"prof.allocBytes{{w=\\\"{w}\\\"}}\"), 1);";
+        assert_eq!(registry_hits(bad, "crates/obs/src/x.rs"), ["name-registry"]);
+        let good = "reg.gauge_set(\"prof.alloc.peak_bytes\", 1.0); \
+                    reg.counter_add(&format!(\"prof.span.count{{path=\\\"{p}\\\"}}\"), 1);";
+        assert!(registry_hits(good, "crates/obs/src/x.rs").is_empty());
+    }
+
     #[test]
     fn registry_is_consistent() {
         for r in RULES {

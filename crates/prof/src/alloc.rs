@@ -55,8 +55,9 @@ static PHASE_SLOTS: [Slot; MAX_PHASES] = [ZERO_SLOT; MAX_PHASES];
 static LANE_SLOTS: [Slot; MAX_LANES] = [ZERO_SLOT; MAX_LANES];
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Live heap bytes (signed: frees of pre-enable allocations may drive
-/// it below zero; the peak tracker clamps at read time).
+/// Live heap bytes, floored at zero: a free of a pre-enable
+/// allocation (made on any thread) would otherwise drive it negative
+/// and hide later allocations from the peak.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
@@ -235,7 +236,9 @@ fn record_alloc(size: usize) {
 
 #[inline]
 fn record_dealloc(size: usize) {
-    LIVE_BYTES.fetch_sub(size as i64, Relaxed);
+    let size = size as i64;
+    // The closure always returns `Some`, so the update cannot fail.
+    let _ = LIVE_BYTES.fetch_update(Relaxed, Relaxed, |live| Some((live - size).max(0)));
 }
 
 /// A [`GlobalAlloc`] that forwards to [`System`] and, when enabled,
